@@ -223,8 +223,6 @@ void PutJobStats(ByteBuffer& buffer, const JobStats& stats) {
   Serde<double>::Put(buffer, stats.reduce_makespan_seconds);
   Serde<double>::Put(buffer, stats.job_overhead_seconds);
   Serde<double>::Put(buffer, stats.real_seconds);
-  Serde<std::vector<double>>::Put(buffer, stats.map_task_seconds);
-  Serde<std::vector<double>>::Put(buffer, stats.reduce_task_seconds);
   buffer.PutScalar<uint64_t>(stats.map_attempts.size());
   for (const TaskExecution& e : stats.map_attempts) {
     PutTaskExecution(buffer, e);
@@ -261,8 +259,6 @@ JobStats GetJobStats(ByteReader& reader) {
   out.reduce_makespan_seconds = Serde<double>::Get(reader);
   out.job_overhead_seconds = Serde<double>::Get(reader);
   out.real_seconds = Serde<double>::Get(reader);
-  out.map_task_seconds = Serde<std::vector<double>>::Get(reader);
-  out.reduce_task_seconds = Serde<std::vector<double>>::Get(reader);
   const uint64_t maps = reader.GetScalar<uint64_t>();
   for (uint64_t i = 0; i < maps && reader.ok(); ++i) {
     out.map_attempts.push_back(GetTaskExecution(reader));

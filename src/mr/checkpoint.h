@@ -33,7 +33,9 @@ struct CheckpointFrame {
   std::vector<uint8_t> payload;
 };
 
-inline constexpr uint32_t kCheckpointFormatVersion = 1;
+// Bumped on every payload layout change. Version 2: a JobStats carries
+// its per-task times only in its attempt histories.
+inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
 // FNV-1a fingerprint of a driver's input (raw data bytes plus shape
 // parameters such as budget or base_leaves): resuming from a checkpoint

@@ -143,34 +143,20 @@ Status ClusterConfig::Validate() const {
 
 JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config) {
   JobStats out = job;
-  int64_t backups = 0;
-  const bool has_attempts =
-      !job.map_attempts.empty() || !job.reduce_attempts.empty();
-  if (!job.map_attempts.empty()) {
-    const RecoverySchedule sched = ScheduleMakespanAttempts(
-        job.map_attempts, config.map_slots,
-        config.speculative_slowness_threshold, /*record_placements=*/false,
-        config.retry_backoff_seconds);
-    out.map_makespan_seconds = sched.makespan_seconds;
-    backups += sched.speculative_backups;
-  } else {
-    out.map_makespan_seconds =
-        ScheduleMakespan(job.map_task_seconds, config.map_slots);
-  }
-  if (!job.reduce_attempts.empty()) {
-    const RecoverySchedule sched = ScheduleMakespanAttempts(
-        job.reduce_attempts, config.reduce_slots,
-        config.speculative_slowness_threshold, /*record_placements=*/false,
-        config.retry_backoff_seconds);
-    out.reduce_makespan_seconds = sched.makespan_seconds;
-    backups += sched.speculative_backups;
-  } else {
-    out.reduce_makespan_seconds =
-        ScheduleMakespan(job.reduce_task_seconds, config.reduce_slots);
-  }
+  const RecoverySchedule map_sched = ScheduleMakespanAttempts(
+      job.map_attempts, config.map_slots,
+      config.speculative_slowness_threshold, /*record_placements=*/false,
+      config.retry_backoff_seconds);
+  const RecoverySchedule reduce_sched = ScheduleMakespanAttempts(
+      job.reduce_attempts, config.reduce_slots,
+      config.speculative_slowness_threshold, /*record_placements=*/false,
+      config.retry_backoff_seconds);
+  out.map_makespan_seconds = map_sched.makespan_seconds;
+  out.reduce_makespan_seconds = reduce_sched.makespan_seconds;
   // Speculative backups are a scheduling decision, so they re-derive with
   // the new slot counts/threshold (more slots can admit more backups).
-  if (has_attempts) out.speculative_backups = backups;
+  out.speculative_backups =
+      map_sched.speculative_backups + reduce_sched.speculative_backups;
   // Every config-derived quantity must follow the new config (see the
   // contract in cluster.h); copying the original run's values silently
   // reported stale shuffle/overhead times when rescheduling onto a cluster
@@ -196,7 +182,7 @@ double ScheduleMakespan(const std::vector<double>& task_seconds, int slots) {
   // Backstop for direct callers; RunJobOr rejects bad slot counts via
   // ClusterConfig::Validate before any scheduling happens.
   // dwm-analyze: allow(recoverable-check): programmer-error backstop; Validate() surfaces the Status upstream
-  DWM_CHECK_GE(slots, 1);  // dwm-lint: allow(mr-recoverable-check)
+  DWM_CHECK_GE(slots, 1);
   if (task_seconds.empty()) return 0.0;
   // Min-heap of slot free times.
   std::priority_queue<double, std::vector<double>, std::greater<double>> free_at;
@@ -218,7 +204,7 @@ RecoverySchedule ScheduleMakespanAttempts(
     double retry_backoff_seconds) {
   // Backstop for direct callers (see ScheduleMakespan).
   // dwm-analyze: allow(recoverable-check): programmer-error backstop; Validate() surfaces the Status upstream
-  DWM_CHECK_GE(slots, 1);  // dwm-lint: allow(mr-recoverable-check)
+  DWM_CHECK_GE(slots, 1);
   RecoverySchedule out;
   if (tasks.empty()) return out;
   // Min-heap of (free time, slot id); the slot id only feeds placement

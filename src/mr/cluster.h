@@ -186,15 +186,11 @@ struct JobStats {
   double reduce_makespan_seconds = 0.0;  // modeled (slots applied)
   double job_overhead_seconds = 0.0;
   double real_seconds = 0.0;  // wall time this process actually spent
-  // Per-task times (startup + scaled compute + storage reads) that fed the
-  // makespans; kept so a run can be *re-scheduled* onto a different slot
-  // count without re-executing (see RescheduleJob). These are the committed
-  // attempts' times (straggler slowdown included).
-  std::vector<double> map_task_seconds;
-  std::vector<double> reduce_task_seconds;
-  // Per-task attempt histories (empty entries mean a clean one-attempt
-  // run recorded before fault injection existed); RescheduleJob prefers
-  // these so recovery makespans re-derive under new slot counts.
+  // Per-task attempt histories, the only record of task time: each
+  // attempt's seconds (startup + scaled compute + storage reads, slowdown
+  // applied) fed the makespans, and the last attempt of a task that
+  // committed is its committed time. Kept so a run can be *re-scheduled*
+  // onto a different cluster without re-executing (see RescheduleJob).
   std::vector<TaskExecution> map_attempts;
   std::vector<TaskExecution> reduce_attempts;
   // Per-task shuffle accounting, recorded lock-free by the worker threads
@@ -202,7 +198,7 @@ struct JobStats {
   // bytes scanned and shuffle bytes/records produced per map task, shuffle
   // partition bytes/records consumed and records produced per reduce task.
   // Drives the trace spans' bytes in/out (mr/trace.h) and the per-reducer
-  // skew metrics; empty on stats recorded before the trace layer existed.
+  // skew metrics.
   std::vector<double> map_task_in_bytes;
   std::vector<int64_t> map_task_out_bytes;
   std::vector<int64_t> map_task_records;
@@ -288,11 +284,11 @@ struct SimReport {
 // themselves (startup + scaled compute + storage reads) are *not* adjusted:
 // they stay as measured under the original run's task_startup_seconds,
 // compute_scale and storage_bytes_per_second, so reschedule onto configs
-// that differ only in slots, network bandwidth or job overhead. When the
-// job carries per-task attempt histories (map_attempts/reduce_attempts),
-// makespans re-derive through the attempt-aware scheduler — failed-attempt
-// occupancy, retry re-queueing and speculative backups are recomputed for
-// the new slot counts and the new config's slowness threshold.
+// that differ only in slots, network bandwidth or job overhead. Makespans
+// re-derive from the attempt histories (map_attempts/reduce_attempts)
+// through the attempt-aware scheduler: failed-attempt occupancy, retry
+// re-queueing and speculative backups are recomputed for the new slot
+// counts and the new config's slowness threshold.
 JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config);
 SimReport RescheduleReport(const SimReport& report,
                            const ClusterConfig& config);

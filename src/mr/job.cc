@@ -77,15 +77,13 @@ void PublishJobMetrics(const JobStats& stats, bool faults_active) {
   // tasks to the paper-scale harness tasks.
   const std::vector<double> bounds =
       metrics::HistogramBuckets::Exponential(0.001, 2.0, 20);
-  for (int phase = 0; phase < 2; ++phase) {
-    const bool map = phase == 0;
+  for (const TaskPhase phase : {TaskPhase::kMap, TaskPhase::kReduce}) {
     metrics::Histogram* histogram = registry.GetHistogram(
         "dwm_mr_task_seconds",
         "Committed-attempt task durations (startup + scaled compute + IO)",
-        bounds, {{"phase", map ? "map" : "reduce"}},
+        bounds, {{"phase", TaskPhaseName(phase)}},
         metrics::Stability::kMeasured);
-    for (const double seconds :
-         map ? stats.map_task_seconds : stats.reduce_task_seconds) {
+    for (const double seconds : CommittedTaskSeconds(stats, phase)) {
       histogram->Observe(seconds);
     }
   }

@@ -19,7 +19,7 @@
 //   - reduce closures run concurrently when num_reducers > 1; they must
 //     only write through their `out` vector or to state partitioned by key
 //     (all keys of one reducer stay on one thread, and the pool join
-//     happens-before RunJob's return, so reducer-scoped captures written
+//     happens-before RunJobOr's return, so reducer-scoped captures written
 //     under num_reducers == 1 are safe to read afterwards);
 //   - per-task compute is charged by a per-thread CPU clock
 //     (ThreadCpuStopwatch), so measured task times stay meaningful when
@@ -53,7 +53,6 @@
 
 #include "common/audit.h"
 #include "common/check.h"
-#include "common/log.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "mr/bytes.h"
@@ -119,7 +118,6 @@ struct MapTaskOutput {
   std::vector<std::vector<int64_t>> record_ends;
   int64_t records = 0;
   double in_bytes = 0.0;
-  double task_seconds = 0.0;  // committed attempt (slowdown applied)
   TaskExecution execution;    // every attempt, failed ones included
   bool committed = false;     // false = retries exhausted
 };
@@ -157,10 +155,11 @@ void PublishJobMetrics(const JobStats& stats, bool faults_active);
 // into `counters` if non-null. Results are byte-identical for every
 // config.worker_threads value and every FaultPlan that does not exhaust
 // retries. Returns InvalidArgument if config.Validate() fails and Aborted
-// if any task fails max_task_attempts times or a reducer's shuffle stream
-// fails to deserialize (corrupt length prefix / truncated record); *output
-// is empty on error and `stats` still carries the attempt histories of the
-// doomed run.
+// if any task fails max_task_attempts times, a reducer's shuffle stream
+// fails to deserialize (corrupt length prefix / truncated record) or the
+// quarantine skips more records than its budget. Every abort happens
+// before any reduce closure runs; *output is empty on error and `stats`
+// still carries the attempt histories of the doomed run.
 template <typename Split, typename K, typename V, typename Out>
 [[nodiscard]] Status RunJobOr(const JobSpec<Split, K, V, Out>& spec,
                               const std::vector<Split>& splits,
@@ -316,7 +315,6 @@ template <typename Split, typename K, typename V, typename Out>
           }
         }
       }
-      out.task_seconds = record.seconds;
       out.committed = true;
       break;
     }
@@ -347,8 +345,6 @@ template <typename Split, typename K, typename V, typename Out>
   // task-local offsets as the buffers concatenate in task order.
   std::vector<std::vector<int64_t>> shuffle_record_ends(
       quarantine ? static_cast<size_t>(num_reducers) : 0);
-  std::vector<double> map_seconds;
-  map_seconds.reserve(static_cast<size_t>(num_map_tasks));
   stats->map_attempts.reserve(static_cast<size_t>(num_map_tasks));
   stats->map_task_in_bytes.reserve(static_cast<size_t>(num_map_tasks));
   stats->map_task_out_bytes.reserve(static_cast<size_t>(num_map_tasks));
@@ -359,7 +355,6 @@ template <typename Split, typename K, typename V, typename Out>
   for (job_internal::MapTaskOutput& out : map_outputs) {
     input_bytes += out.in_bytes;
     shuffle_records += out.records;
-    map_seconds.push_back(out.task_seconds);
     stats->map_attempts.push_back(std::move(out.execution));
     int64_t task_out_bytes = 0;
     for (int r = 0; r < num_reducers; ++r) {
@@ -444,31 +439,97 @@ template <typename Split, typename K, typename V, typename Out>
     }
   }
 
+  // Decode every reducer's stream, check once, and only then reduce: a
+  // corrupt stream and the job-wide skip budget can only be judged after
+  // every reducer has decoded, and no reduce closure may run before that
+  // (doomed jobs never leak side effects). The shuffle bytes the engine
+  // itself built are trusted, but the deserialization path is shared with
+  // replayed/file-backed streams, so a bad length prefix must surface as a
+  // Status, not an abort. Each slot below is written only by its reducer.
+  std::vector<std::vector<std::pair<K, V>>> decoded(
+      static_cast<size_t>(num_reducers));
+  std::vector<double> decode_seconds(static_cast<size_t>(num_reducers), 0.0);
+  std::vector<int64_t> reducer_skipped(static_cast<size_t>(num_reducers), 0);
+  std::vector<uint8_t> corrupt_reducers(static_cast<size_t>(num_reducers), 0);
   std::vector<std::vector<Out>> reducer_outputs(
       static_cast<size_t>(num_reducers));
-  std::vector<double> reduce_seconds(static_cast<size_t>(num_reducers), 0.0);
   stats->reduce_attempts.assign(static_cast<size_t>(num_reducers),
                                 TaskExecution{});
   stats->reduce_task_in_bytes.assign(static_cast<size_t>(num_reducers), 0);
   stats->reduce_task_records.assign(static_cast<size_t>(num_reducers), 0);
   stats->reduce_task_out_records.assign(static_cast<size_t>(num_reducers), 0);
-  // Per-reducer corrupt-stream flags, written lock-free (each reducer owns
-  // its slot). The shuffle bytes the engine itself built are trusted, but
-  // the deserialization path is shared with replayed/file-backed streams,
-  // so a bad length prefix must surface as a Status, not an abort.
-  std::vector<uint8_t> corrupt_reducers(static_cast<size_t>(num_reducers), 0);
-  // Sort + group + reduce + attempt materialization, shared by the direct
-  // path and the quarantined two-pass path. `decode_cpu_seconds` is the CPU
-  // this reducer already spent deserializing, so the attempt's cpu_seconds
-  // stays the full decode+sort+reduce cost either way.
-  auto run_reducer = [&](int64_t r, std::vector<std::pair<K, V>>& pairs,
-                         double decode_cpu_seconds) {
+  pool.ParallelFor(num_reducers, [&](int64_t r) {
+    const size_t slot = static_cast<size_t>(r);
     ThreadCpuStopwatch clock;
+    ByteBuffer& buf = shuffle[slot];
+    std::vector<std::pair<K, V>>& pairs = decoded[slot];
+    if (quarantine) {
+      // Record-at-a-time decode over the emit-side framing: a corrupt
+      // record (over-read, rejected length prefix, or leftover bytes) is
+      // dropped and the decoder resynchronizes at the next record boundary.
+      size_t pos = 0;
+      for (const int64_t end_offset : shuffle_record_ends[slot]) {
+        const size_t end = static_cast<size_t>(end_offset);
+        ByteReader record(buf.data() + pos, end - pos);
+        K key = Serde<K>::Get(record);
+        V value = Serde<V>::Get(record);
+        if (!record.ok() || !record.Done()) {
+          ++reducer_skipped[slot];
+        } else {
+          pairs.emplace_back(std::move(key), std::move(value));
+        }
+        pos = end;
+      }
+    } else {
+      // Unframed: a corrupt record drains the reader, and the decoded tail
+      // is meaningless, so the whole stream is marked corrupt.
+      ByteReader reader(buf);
+      while (!reader.Done()) {
+        K key = Serde<K>::Get(reader);
+        V value = Serde<V>::Get(reader);
+        pairs.emplace_back(std::move(key), std::move(value));
+      }
+      if (!reader.ok()) corrupt_reducers[slot] = 1;
+    }
+    stats->reduce_task_in_bytes[slot] = static_cast<int64_t>(buf.size());
+    stats->reduce_task_records[slot] = static_cast<int64_t>(pairs.size());
+    decode_seconds[slot] = clock.ElapsedSeconds();
+    // The decoded pairs now hold everything the reducer needs.
+    buf = ByteBuffer{};
+    if (quarantine) std::vector<int64_t>().swap(shuffle_record_ends[slot]);
+  });
+
+  // Like retry exhaustion, the lowest-indexed corrupt reducer is reported
+  // regardless of execution interleaving.
+  int64_t total_skipped = 0;
+  for (int r = 0; r < num_reducers; ++r) {
+    if (corrupt_reducers[static_cast<size_t>(r)] != 0) {
+      return Status::Aborted(
+          "job '" + spec.name + "': reduce task " + std::to_string(r) +
+          ": corrupt shuffle stream (truncated record or bad length prefix)");
+    }
+    total_skipped += reducer_skipped[static_cast<size_t>(r)];
+  }
+  stats->skipped_bad_records = total_skipped;
+  if (total_skipped > max_skipped_bad_records) {
+    return Status::Aborted(
+        "job '" + spec.name + "': " + std::to_string(total_skipped) +
+        " corrupt shuffle records exceed the quarantine budget "
+        "(max_skipped_bad_records=" +
+        std::to_string(max_skipped_bad_records) + ")");
+  }
+
+  // Sort + group + reduce, then materialize the attempt chain. The
+  // attempt's cpu_seconds is the full decode+sort+reduce cost.
+  pool.ParallelFor(num_reducers, [&](int64_t r) {
+    const size_t slot = static_cast<size_t>(r);
+    ThreadCpuStopwatch clock;
+    std::vector<std::pair<K, V>>& pairs = decoded[slot];
     std::stable_sort(pairs.begin(), pairs.end(),
                      [&](const std::pair<K, V>& a, const std::pair<K, V>& b) {
                        return key_less(a.first, b.first);
                      });
-    std::vector<Out>* out = &reducer_outputs[static_cast<size_t>(r)];
+    std::vector<Out>* out = &reducer_outputs[slot];
     size_t i = 0;
     while (i < pairs.size()) {
       size_t j = i + 1;
@@ -483,16 +544,15 @@ template <typename Split, typename K, typename V, typename Out>
       spec.reduce(pairs[i].first, values, out);
       i = j;
     }
-    stats->reduce_task_out_records[static_cast<size_t>(r)] =
-        static_cast<int64_t>(out->size());
-    const double cpu_seconds = decode_cpu_seconds + clock.ElapsedSeconds();
+    std::vector<std::pair<K, V>>().swap(pairs);
+    stats->reduce_task_out_records[slot] = static_cast<int64_t>(out->size());
+    const double cpu_seconds = decode_seconds[slot] + clock.ElapsedSeconds();
     const double base_seconds =
         cpu_seconds * config.compute_scale + config.task_startup_seconds;
-    // Materialize the attempt chain now that the base time is measured:
-    // every failed attempt is charged its failure fraction of its own
+    // Every failed attempt is charged its failure fraction of its own
     // (possibly slowed) runtime, the committed attempt its full runtime.
-    TaskExecution& exec = stats->reduce_attempts[static_cast<size_t>(r)];
-    for (const FaultDecision& fate : reduce_failures[static_cast<size_t>(r)]) {
+    TaskExecution& exec = stats->reduce_attempts[slot];
+    for (const FaultDecision& fate : reduce_failures[slot]) {
       TaskAttempt record;
       record.slowdown = fate.slowdown;
       record.failed = true;
@@ -500,98 +560,13 @@ template <typename Split, typename K, typename V, typename Out>
       record.seconds = base_seconds * fate.slowdown * fate.failure_fraction;
       exec.attempts.push_back(record);
     }
-    const FaultDecision& fate = reduce_committed[static_cast<size_t>(r)];
+    const FaultDecision& fate = reduce_committed[slot];
     TaskAttempt record;
     record.cpu_seconds = cpu_seconds;
     record.slowdown = fate.slowdown;
     record.seconds = base_seconds * fate.slowdown;
     exec.attempts.push_back(record);
-    reduce_seconds[static_cast<size_t>(r)] = record.seconds;
-  };
-
-  if (!quarantine) {
-    pool.ParallelFor(num_reducers, [&](int64_t r) {
-      ThreadCpuStopwatch clock;
-      ByteReader reader(shuffle[static_cast<size_t>(r)]);
-      std::vector<std::pair<K, V>> pairs;
-      while (!reader.Done()) {
-        K key = Serde<K>::Get(reader);
-        V value = Serde<V>::Get(reader);
-        pairs.emplace_back(std::move(key), std::move(value));
-      }
-      if (!reader.ok()) {
-        // Corrupt stream: the decoded tail is meaningless, so the reduce
-        // closure never sees it (doomed jobs must not leak side effects).
-        corrupt_reducers[static_cast<size_t>(r)] = 1;
-        return;
-      }
-      stats->reduce_task_in_bytes[static_cast<size_t>(r)] =
-          static_cast<int64_t>(shuffle[static_cast<size_t>(r)].size());
-      stats->reduce_task_records[static_cast<size_t>(r)] =
-          static_cast<int64_t>(pairs.size());
-      run_reducer(r, pairs, clock.ElapsedSeconds());
-    });
-  } else {
-    // Quarantined decode runs as its own pass: the job-wide skip budget can
-    // only be checked once every reducer has decoded, and reduce closures
-    // must not run before that check (doomed jobs never leak side effects).
-    std::vector<std::vector<std::pair<K, V>>> decoded(
-        static_cast<size_t>(num_reducers));
-    std::vector<double> decode_seconds(static_cast<size_t>(num_reducers), 0.0);
-    std::vector<int64_t> reducer_skipped(static_cast<size_t>(num_reducers), 0);
-    pool.ParallelFor(num_reducers, [&](int64_t r) {
-      ThreadCpuStopwatch clock;
-      const ByteBuffer& buf = shuffle[static_cast<size_t>(r)];
-      std::vector<std::pair<K, V>>& pairs = decoded[static_cast<size_t>(r)];
-      size_t pos = 0;
-      // Record-at-a-time decode over the emit-side framing: a corrupt
-      // record (over-read, rejected length prefix, or leftover bytes) is
-      // dropped and the decoder resynchronizes at the next record boundary.
-      for (const int64_t end_offset :
-           shuffle_record_ends[static_cast<size_t>(r)]) {
-        const size_t end = static_cast<size_t>(end_offset);
-        ByteReader record(buf.data() + pos, end - pos);
-        K key = Serde<K>::Get(record);
-        V value = Serde<V>::Get(record);
-        if (!record.ok() || !record.Done()) {
-          ++reducer_skipped[static_cast<size_t>(r)];
-        } else {
-          pairs.emplace_back(std::move(key), std::move(value));
-        }
-        pos = end;
-      }
-      stats->reduce_task_in_bytes[static_cast<size_t>(r)] =
-          static_cast<int64_t>(buf.size());
-      stats->reduce_task_records[static_cast<size_t>(r)] =
-          static_cast<int64_t>(pairs.size());
-      decode_seconds[static_cast<size_t>(r)] = clock.ElapsedSeconds();
-    });
-    int64_t total_skipped = 0;
-    for (const int64_t skipped : reducer_skipped) total_skipped += skipped;
-    stats->skipped_bad_records = total_skipped;
-    if (total_skipped > max_skipped_bad_records) {
-      return Status::Aborted(
-          "job '" + spec.name + "': " + std::to_string(total_skipped) +
-          " corrupt shuffle records exceed the quarantine budget "
-          "(max_skipped_bad_records=" +
-          std::to_string(max_skipped_bad_records) + ")");
-    }
-    pool.ParallelFor(num_reducers, [&](int64_t r) {
-      run_reducer(r, decoded[static_cast<size_t>(r)],
-                  decode_seconds[static_cast<size_t>(r)]);
-    });
-  }
-
-  // Surface corrupt shuffle streams as a job failure after the pool joins;
-  // like retry exhaustion, the lowest-indexed corrupt reducer is reported
-  // regardless of execution interleaving.
-  for (int r = 0; r < num_reducers; ++r) {
-    if (corrupt_reducers[static_cast<size_t>(r)] != 0) {
-      return Status::Aborted(
-          "job '" + spec.name + "': reduce task " + std::to_string(r) +
-          ": corrupt shuffle stream (truncated record or bad length prefix)");
-    }
-  }
+  });
 
   // Concatenate in reducer order (identical to the sequential run).
   size_t total_outputs = 0;
@@ -619,15 +594,12 @@ template <typename Split, typename K, typename V, typename Out>
   stats->speculative_backups =
       map_sched.speculative_backups + reduce_sched.speculative_backups;
   // Fault accounting stays all-zero on a fault-free run (the JobStats
-  // contract): a clean task_attempts == tasks tally would read as one
-  // retry-free attempt per task, but it would also make fault-free stats
-  // differ from pre-fault-model stats for no information gain.
+  // contract): a clean task_attempts == tasks tally would only restate the
+  // task counts.
   if (faults.active()) {
     job_internal::CountFaultStats(*stats, stats->map_attempts);
     job_internal::CountFaultStats(*stats, stats->reduce_attempts);
   }
-  stats->map_task_seconds = std::move(map_seconds);
-  stats->reduce_task_seconds = std::move(reduce_seconds);
   stats->real_seconds = total_clock.ElapsedSeconds();
 
   if (counters != nullptr) {
@@ -655,29 +627,6 @@ template <typename Split, typename K, typename V, typename Out>
   }
   job_internal::PublishJobMetrics(*stats, faults.active());
   return Status::OK();
-}
-
-// Fault-free-caller convenience wrapper: same contract as RunJobOr but
-// returns the outputs directly and treats any error as fatal (the
-// pre-fault-model behavior). Callers that configure fault injection or
-// user-supplied cluster configs should use RunJobOr and handle the Status.
-template <typename Split, typename K, typename V, typename Out>
-std::vector<Out> RunJob(const JobSpec<Split, K, V, Out>& spec,
-                        const std::vector<Split>& splits,
-                        const ClusterConfig& config, JobStats* stats,
-                        Counters* counters = nullptr) {
-  std::vector<Out> output;
-  const Status status = RunJobOr(spec, splits, config, &output, stats, counters);
-  if (!status.ok()) {
-    log::Error("job_failed")
-        .Str("job", spec.name)
-        .Str("status", status.ToString());
-  }
-  // Aborting is this wrapper's documented contract, not a recoverable
-  // path: callers that want the Status use RunJobOr.
-  // dwm-analyze: allow(recoverable-check): RunJob's documented contract is to abort; RunJobOr is the Status-returning path
-  DWM_CHECK(status.ok());  // dwm-lint: allow(mr-recoverable-check)
-  return output;
 }
 
 }  // namespace dwm::mr

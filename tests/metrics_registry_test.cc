@@ -152,14 +152,18 @@ TEST(DurationStatsEdgeCaseTest, PhaseStatsOnFabricatedJob) {
   // Empty phase.
   EXPECT_EQ(mr::PhaseDurationStats(job, mr::TaskPhase::kMap).count, 0);
   // Single-sample phase.
-  job.reduce_task_seconds = {0.75};
+  job.reduce_attempts.resize(1);
+  job.reduce_attempts[0].attempts.push_back({0.75, 1.0, false, false});
   const mr::DurationStats one =
       mr::PhaseDurationStats(job, mr::TaskPhase::kReduce);
   EXPECT_EQ(one.count, 1);
   EXPECT_DOUBLE_EQ(one.p50_seconds, 0.75);
   EXPECT_DOUBLE_EQ(one.p99_seconds, 0.75);
   // All-equal phase.
-  job.map_task_seconds.assign(16, 3.0);
+  job.map_attempts.resize(16);
+  for (mr::TaskExecution& task : job.map_attempts) {
+    task.attempts.push_back({3.0, 1.0, false, false});
+  }
   const mr::DurationStats eq = mr::PhaseDurationStats(job, mr::TaskPhase::kMap);
   EXPECT_EQ(eq.count, 16);
   EXPECT_DOUBLE_EQ(eq.p50_seconds, eq.p99_seconds);

@@ -325,7 +325,6 @@ TEST(ScheduleAttemptsTest, RescheduleJobRederivesFromAttemptHistories) {
   TaskExecution t1;
   t1.attempts.push_back({4.0, 4.0, false, false});
   job.map_attempts = {t0, t1, CleanTask(1.0)};
-  job.map_task_seconds = {2.0, 4.0, 1.0};  // committed times (unused here)
 
   ClusterConfig config;
   config.network_bytes_per_second = 100.0;
@@ -346,13 +345,6 @@ TEST(ScheduleAttemptsTest, RescheduleJobRederivesFromAttemptHistories) {
   // its backup finishes at 2.5; makespan 3, one backup launched.
   EXPECT_DOUBLE_EQ(wide.map_makespan_seconds, 3.0);
   EXPECT_EQ(wide.speculative_backups, 1);
-
-  // Without histories the fallback schedules the committed times.
-  JobStats legacy = job;
-  legacy.map_attempts.clear();
-  const JobStats fallback = RescheduleJob(legacy, config);
-  EXPECT_DOUBLE_EQ(fallback.map_makespan_seconds,
-                   ScheduleMakespan(job.map_task_seconds, 4));
 }
 
 // ---------------------------------------------------------------------------

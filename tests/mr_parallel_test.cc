@@ -158,7 +158,8 @@ RepresentativeRun RunRepresentativeJob(int worker_threads) {
   config.worker_threads = worker_threads;
   RepresentativeRun run;
   Counters counters;
-  run.output = RunJob(spec, splits, config, &run.stats, &counters);
+  EXPECT_TRUE(
+      RunJobOr(spec, splits, config, &run.output, &run.stats, &counters).ok());
   run.counters = counters.values();
   return run;
 }

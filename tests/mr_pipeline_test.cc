@@ -590,12 +590,19 @@ struct QuarantineRun {
   int64_t reduce_calls = 0;
 };
 
+// With more than one reducer, corrupt (negative) tags go to reducer 0 and
+// clean tags to the last reducer.
 QuarantineRun RunLopsided(const std::vector<int32_t>& tags,
-                          ClusterConfig config) {
+                          ClusterConfig config, int num_reducers = 1) {
   std::atomic<int64_t> reduce_calls{0};
+  auto spec = LopsidedSpec(&reduce_calls);
+  spec.num_reducers = num_reducers;
+  spec.partition = [num_reducers](const int32_t& tag) {
+    return tag < 0 ? 0 : num_reducers - 1;
+  };
   QuarantineRun run;
-  run.status = RunJobOr(LopsidedSpec(&reduce_calls), {tags}, config,
-                        &run.output, &run.stats, &run.counters);
+  run.status = RunJobOr(spec, {tags}, config, &run.output, &run.stats,
+                        &run.counters);
   run.reduce_calls = reduce_calls.load();
   return run;
 }
@@ -640,6 +647,20 @@ TEST(QuarantineTest, DefaultOffAbortsOnCorruptStream) {
             std::string::npos)
       << run.status.ToString();
   EXPECT_EQ(run.reduce_calls, 0);
+
+  // Two reducers: the clean one must not run its closure either, because
+  // the corrupt stream on reducer 0 dooms the whole job.
+  for (const int threads : {1, 8}) {
+    config.worker_threads = threads;
+    const QuarantineRun split = RunLopsided({-1, 1}, config, 2);
+    ASSERT_EQ(split.status.code(), StatusCode::kAborted);
+    EXPECT_NE(split.status.ToString().find(
+                  "reduce task 0: corrupt shuffle stream"),
+              std::string::npos)
+        << split.status.ToString();
+    EXPECT_EQ(split.reduce_calls, 0) << threads << " threads";
+    EXPECT_TRUE(split.output.empty());
+  }
 }
 
 TEST(QuarantineTest, EnvKnobResolvesTheAutoValue) {

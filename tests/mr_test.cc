@@ -11,6 +11,7 @@
 #include "mr/bytes.h"
 #include "mr/cluster.h"
 #include "mr/counters.h"
+#include "mr/trace.h"
 
 namespace dwm::mr {
 namespace {
@@ -76,14 +77,23 @@ TEST(ClusterTest, HalvingSlotsRoughlyDoublesTime) {
   EXPECT_DOUBLE_EQ(t10, 2.0 * t20);
 }
 
+// Clean one-attempt histories committing after `seconds` each.
+std::vector<TaskExecution> CleanAttempts(const std::vector<double>& seconds) {
+  std::vector<TaskExecution> tasks(seconds.size());
+  for (size_t i = 0; i < seconds.size(); ++i) {
+    tasks[i].attempts.push_back({seconds[i], 1.0, false, false});
+  }
+  return tasks;
+}
+
 TEST(ClusterTest, RescheduleReportRecomputesModeledQuantities) {
   JobStats job;
   job.name = "j";
-  job.map_task_seconds = {1.0, 1.0, 1.0, 1.0};
-  job.reduce_task_seconds = {2.0};
+  job.map_attempts = CleanAttempts({1.0, 1.0, 1.0, 1.0});
+  job.reduce_attempts = CleanAttempts({2.0});
   job.shuffle_bytes = 100;
-  job.map_makespan_seconds = ScheduleMakespan(job.map_task_seconds, 4);
-  job.reduce_makespan_seconds = ScheduleMakespan(job.reduce_task_seconds, 1);
+  job.map_makespan_seconds = ScheduleMakespan({1.0, 1.0, 1.0, 1.0}, 4);
+  job.reduce_makespan_seconds = ScheduleMakespan({2.0}, 1);
   job.shuffle_seconds = 100.0 / 100.0e6;
   job.job_overhead_seconds = 6.0;
   SimReport report;
@@ -105,8 +115,10 @@ TEST(ClusterTest, RescheduleReportRecomputesModeledQuantities) {
   EXPECT_DOUBLE_EQ(re.jobs[0].job_overhead_seconds, 9.0);
   EXPECT_DOUBLE_EQ(re.driver_seconds, 3.0);
   // Measured per-task times are carried over untouched.
-  EXPECT_EQ(re.jobs[0].map_task_seconds, job.map_task_seconds);
-  EXPECT_EQ(re.jobs[0].reduce_task_seconds, job.reduce_task_seconds);
+  EXPECT_EQ(CommittedTaskSeconds(re.jobs[0], TaskPhase::kMap),
+            CommittedTaskSeconds(job, TaskPhase::kMap));
+  EXPECT_EQ(CommittedTaskSeconds(re.jobs[0], TaskPhase::kReduce),
+            CommittedTaskSeconds(job, TaskPhase::kReduce));
 }
 
 TEST(CountersTest, AddAndMerge) {
@@ -140,7 +152,8 @@ TEST(JobTest, WordCount) {
     out->push_back({key, total});
   };
   JobStats stats;
-  const auto out = RunJob(spec, splits, ClusterConfig{}, &stats);
+  std::vector<std::pair<std::string, int64_t>> out;
+  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
   std::map<std::string, int64_t> counts(out.begin(), out.end());
   EXPECT_EQ(counts["a"], 3);
   EXPECT_EQ(counts["b"], 2);
@@ -165,7 +178,8 @@ TEST(JobTest, ReducerSeesKeysSorted) {
   spec.reduce = [](const int64_t& key, std::vector<int64_t>&,
                    std::vector<int64_t>* out) { out->push_back(key); };
   JobStats stats;
-  const auto out = RunJob(spec, splits, ClusterConfig{}, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
   EXPECT_EQ(out, (std::vector<int64_t>{1, 3, 5, 7, 9}));
 }
 
@@ -185,7 +199,8 @@ TEST(JobTest, CustomPartitionRoutesKeys) {
     out->push_back({key % 3, key});
   };
   JobStats stats;
-  const auto out = RunJob(spec, splits, ClusterConfig{}, &stats);
+  std::vector<std::pair<int64_t, int64_t>> out;
+  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
   // Outputs arrive reducer by reducer: all %3==0 keys first, then 1, then 2.
   ASSERT_EQ(out.size(), 9u);
   for (size_t i = 0; i < out.size(); ++i) {
@@ -208,7 +223,8 @@ TEST(JobTest, ValuesGroupedPerKeyInArrivalOrder) {
     out->push_back({key, values});
   };
   JobStats stats;
-  const auto out = RunJob(spec, splits, ClusterConfig{}, &stats);
+  std::vector<std::pair<int64_t, std::vector<int64_t>>> out;
+  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].first, 1);
   EXPECT_EQ(out[0].second, (std::vector<int64_t>{10, 20, 30}));
@@ -229,15 +245,16 @@ TEST(JobTest, SplitBytesFeedStorageCost) {
   config.task_startup_seconds = 0.0;
   config.job_overhead_seconds = 0.0;
   JobStats stats;
-  RunJob(spec, std::vector<Split>{0, 1}, config, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(RunJobOr(spec, std::vector<Split>{0, 1}, config, &out, &stats).ok());
   EXPECT_EQ(stats.input_bytes, 800000000);
   // Two 1-second scans on 40 slots -> makespan ~1s.
   EXPECT_NEAR(stats.map_makespan_seconds, 1.0, 0.2);
 }
 
 TEST(JobTest, StatsFullyResetBetweenJobs) {
-  // Regression: RunJob must reset a reused JobStats at entry. Accumulating
-  // fields (input_bytes, shuffle totals, task-second vectors) previously
+  // Regression: RunJobOr must reset a reused JobStats at entry. Accumulating
+  // fields (input_bytes, shuffle totals, attempt histories) previously
   // carried the prior job's totals into the next run.
   using Split = int64_t;
   JobSpec<Split, int64_t, int64_t, int64_t> spec;
@@ -251,23 +268,27 @@ TEST(JobTest, StatsFullyResetBetweenJobs) {
   spec.split_bytes = [](const Split&) { return 1000.0; };
 
   JobStats stats;
-  RunJob(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{}, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{}, &out, &stats)
+          .ok());
   const int64_t first_input = stats.input_bytes;
   const int64_t first_shuffle_bytes = stats.shuffle_bytes;
   EXPECT_EQ(first_input, 3000);
   EXPECT_EQ(stats.shuffle_records, 12);
-  EXPECT_EQ(stats.map_task_seconds.size(), 3u);
+  EXPECT_EQ(stats.map_attempts.size(), 3u);
 
   // Second, smaller job into the *same* stats object.
   spec.name = "second";
-  RunJob(spec, std::vector<Split>{7}, ClusterConfig{}, &stats);
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{7}, ClusterConfig{}, &out, &stats).ok());
   EXPECT_EQ(stats.name, "second");
   EXPECT_EQ(stats.map_tasks, 1);
   EXPECT_EQ(stats.input_bytes, 1000);
   EXPECT_EQ(stats.shuffle_records, 4);
   EXPECT_LT(stats.shuffle_bytes, first_shuffle_bytes);
-  EXPECT_EQ(stats.map_task_seconds.size(), 1u);
-  EXPECT_EQ(stats.reduce_task_seconds.size(), 2u);
+  EXPECT_EQ(stats.map_attempts.size(), 1u);
+  EXPECT_EQ(stats.reduce_attempts.size(), 2u);
   EXPECT_EQ(stats.output_records, 4);
 }
 
@@ -292,7 +313,8 @@ TEST(JobTest, CustomKeyLessGroupsEquivalentKeys) {
     out->push_back({key % 5, values});
   };
   JobStats stats;
-  const auto out = RunJob(spec, splits, ClusterConfig{}, &stats);
+  std::vector<std::pair<int64_t, std::vector<int64_t>>> out;
+  ASSERT_TRUE(RunJobOr(spec, splits, ClusterConfig{}, &out, &stats).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].first, 1);
   EXPECT_EQ(out[0].second, (std::vector<int64_t>{1, 6}));
@@ -309,7 +331,9 @@ TEST(JobTest, EmptySplitsProduceEmptyOutput) {
   spec.reduce = [](const int64_t& key, std::vector<int64_t>&,
                    std::vector<int64_t>* out) { out->push_back(key); };
   JobStats stats;
-  const auto out = RunJob(spec, std::vector<Split>{}, ClusterConfig{}, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{}, ClusterConfig{}, &out, &stats).ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(stats.map_tasks, 0);
   EXPECT_EQ(stats.reduce_tasks, 3);
@@ -328,13 +352,15 @@ TEST(JobTest, MapEmittingNothingStillRunsReducers) {
   spec.reduce = [&](const int64_t&, std::vector<int64_t>&,
                     std::vector<int64_t>*) { ++reduce_calls; };
   JobStats stats;
-  const auto out =
-      RunJob(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{}, &stats);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{}, &out, &stats)
+          .ok());
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(reduce_calls, 0);  // no keys, so reduce never fires
   EXPECT_EQ(stats.map_tasks, 3);
   EXPECT_EQ(stats.shuffle_records, 0);
-  EXPECT_EQ(stats.reduce_task_seconds.size(), 2u);
+  EXPECT_EQ(stats.reduce_attempts.size(), 2u);
 }
 
 TEST(JobTest, MoreReducersThanDistinctKeys) {
@@ -354,11 +380,13 @@ TEST(JobTest, MoreReducersThanDistinctKeys) {
     out->push_back({key, total});
   };
   JobStats stats;
-  auto out = RunJob(spec, std::vector<Split>{0}, ClusterConfig{}, &stats);
+  std::vector<std::pair<int64_t, int64_t>> out;
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{0}, ClusterConfig{}, &out, &stats).ok());
   std::sort(out.begin(), out.end());
   EXPECT_EQ(out, (std::vector<std::pair<int64_t, int64_t>>{{1, 21}, {2, 20}}));
   EXPECT_EQ(stats.reduce_tasks, 16);
-  EXPECT_EQ(stats.reduce_task_seconds.size(), 16u);
+  EXPECT_EQ(stats.reduce_attempts.size(), 16u);
 }
 
 TEST(JobTest, DefaultPartitionMatchesHashPartition) {
@@ -379,7 +407,9 @@ TEST(JobTest, DefaultPartitionMatchesHashPartition) {
     out->push_back({key, values[0]});
   };
   JobStats stats;
-  const auto out = RunJob(spec, std::vector<Split>{0}, ClusterConfig{}, &stats);
+  std::vector<std::pair<std::string, int64_t>> out;
+  ASSERT_TRUE(
+      RunJobOr(spec, std::vector<Split>{0}, ClusterConfig{}, &out, &stats).ok());
   // Outputs arrive in reducer order; each key must sit at the reducer index
   // the public HashPartition computes for it.
   ASSERT_EQ(out.size(), 3u);
@@ -417,7 +447,10 @@ TEST(JobTest, CountersMerged) {
                    std::vector<int64_t>*) {};
   JobStats stats;
   Counters counters;
-  RunJob(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{}, &stats, &counters);
+  std::vector<int64_t> out;
+  ASSERT_TRUE(RunJobOr(spec, std::vector<Split>{0, 1, 2}, ClusterConfig{}, &out,
+                       &stats, &counters)
+                  .ok());
   EXPECT_EQ(counters.Get("c.shuffle_records"), 3);
   EXPECT_EQ(counters.Get("c.map_tasks"), 3);
 }

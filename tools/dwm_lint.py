@@ -16,14 +16,6 @@ Checks (each can be suppressed per line with `// dwm-lint: allow(<rule>)`):
                   error guarantees are analyzed in double precision.
   banned-function No calls to rand, atoi or strcpy (use Rng, strtol/
                   from_chars and std::string/memcpy instead).
-  mr-recoverable-check
-                  Under src/mr/, no DWM_CHECK family on recoverable
-                  paths: conditions mentioning config fields, fault
-                  plans, slots, attempts or a Status must return a
-                  Status (RunJobOr / Validate) instead of aborting.
-                  DWM_AUDIT_CHECK is exempt (audit builds opt into
-                  aborts); genuine programmer-error invariants can be
-                  suppressed with an allow comment stating why.
   trace-phase-span
                   Every TaskPhase enumerator in src/mr/faults.h is
                   referenced as `TaskPhase::kFoo` by the trace layer
@@ -243,34 +235,6 @@ def check_no_raw_stderr(findings, rel_path, raw_lines, code_lines,
                      "bare fprintf/fputs to stderr; route diagnostics "
                      "through the structured logger (common/log.h) or "
                      "suppress with a reasoned allow comment")
-
-
-# Tokens that mark a DWM_CHECK condition as config-/fault-driven — i.e.
-# reachable from user input or an injected fault rather than a programming
-# error. Such conditions must surface as a Status on the RunJobOr path.
-MR_RECOVERABLE_TOKENS = (
-    "config.", "faults.", "fault_", "slots", "max_task_attempts",
-    "attempt", "status",
-)
-MR_CHECK_RE = re.compile(r"\bDWM_CHECK(?:_[A-Z]+)?\s*\(")
-
-
-def check_mr_recoverable(findings, rel_path, raw_lines, code_lines):
-    if not rel_path.startswith(os.path.join("src", "mr") + os.sep):
-        return
-    for idx, code in enumerate(code_lines, start=1):
-        if not MR_CHECK_RE.search(code):
-            continue
-        lowered = code.lower()
-        if not any(tok in lowered for tok in MR_RECOVERABLE_TOKENS):
-            continue
-        if "mr-recoverable-check" in allowed_rules(raw_lines[idx - 1]):
-            continue
-        findings.add(rel_path, idx, "mr-recoverable-check",
-                     "DWM_CHECK on a config-/fault-driven condition in "
-                     "src/mr/; return a Status (RunJobOr/Validate) instead "
-                     "of aborting, or add an allow comment explaining why "
-                     "this is a programmer-error invariant")
 
 
 SERDE_SPEC_RE = re.compile(r"struct\s+Serde\s*<(.+?)>\s*\{", re.DOTALL)
@@ -562,7 +526,6 @@ def main():
         check_banned_functions(findings, rel_path, raw_lines, code_lines)
         check_no_raw_stderr(findings, rel_path, raw_lines, code_lines,
                             file_allowed)
-        check_mr_recoverable(findings, rel_path, raw_lines, code_lines)
         check_stale_analyze_suppressions(findings, rel_path, raw_lines,
                                          analyze_rules)
     check_serde(findings, root)
