@@ -1,11 +1,13 @@
 // Kernel micro suite: raw single-node timings of the hot kernels the
 // distributed cost model charges per task — the Haar transform (forward and
 // inverse), the MinHaarSpace bottom-up combine (arena BuildRowHeap), the
-// GreedyAbs discard loop, and the synopsis point query (the serving hot
-// path). Each kernel reports one BenchReporter label (kernels/haar-forward,
+// GreedyAbs discard loop, and the synopsis queries (point, range sum and
+// subtree reconstruction: the serving hot and miss paths). Each kernel
+// reports one BenchReporter label (kernels/haar-forward,
 // kernels/haar-inverse, kernels/mhs-combine, kernels/greedy-run,
-// kernels/synopsis-point); kernels with a scalar/naive reference also time
-// it under a -ref suffix, so a recorded baseline shows the
+// kernels/synopsis-point, kernels/synopsis-range,
+// kernels/synopsis-reconstruct); kernels with a scalar/naive reference also
+// time it under a -ref suffix, so a recorded baseline shows the
 // optimized-vs-reference speedup next to byte-identical deterministic
 // checksums (the metrics snapshot is a pure function of the input, so
 // tools/bench_compare.py compares it exactly while the measured makespans
@@ -17,9 +19,11 @@
 // refresh recipe).
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/rng.h"
 #include "core/greedy_abs.h"
 #include "core/min_haar_space.h"
 #include "data/generators.h"
@@ -64,13 +68,80 @@ double PointEstimateReference(const dwm::Synopsis& synopsis, int64_t leaf) {
   return value;
 }
 
+// Range sum with one lower_bound over the whole coefficient array per path
+// node (the pre-cursor implementation), the reference the synopsis-range
+// kernel is paired against. Same additions in the same order as RangeSum.
+double RangeSumReference(const dwm::Synopsis& synopsis, int64_t lo,
+                         int64_t hi) {
+  const int64_t n = synopsis.domain_size();
+  double sum = 0.0;
+  auto contribution = [&](int64_t node) {
+    const double c = synopsis.CoefficientValue(node);
+    if (c == 0.0) return;
+    if (node == 0) {
+      sum += static_cast<double>(hi - lo + 1) * c;
+      return;
+    }
+    const dwm::LeafRange r = dwm::NodeLeafRange(n, node);
+    const int64_t mid = r.first + r.count / 2;
+    const int64_t left_overlap =
+        std::max<int64_t>(0, std::min(hi, mid - 1) - std::max(lo, r.first) + 1);
+    const int64_t right_overlap = std::max<int64_t>(
+        0, std::min(hi, r.first + r.count - 1) - std::max(lo, mid) + 1);
+    sum += static_cast<double>(left_overlap - right_overlap) * c;
+  };
+  int64_t a = dwm::LeafParent(n, lo);
+  int64_t b = dwm::LeafParent(n, hi);
+  while (a != b) {
+    if (a > b) {
+      contribution(a);
+      a >>= 1;
+    } else {
+      contribution(b);
+      b >>= 1;
+    }
+  }
+  for (; a >= 1; a >>= 1) contribution(a);
+  contribution(0);
+  return sum;
+}
+
+// Subtree reconstruction that climbs every retained coefficient to the root
+// to test membership in the slice's subtree (the pre-cursor implementation),
+// the reference the synopsis-reconstruct kernel is paired against.
+std::vector<double> ReconstructRangeReference(const dwm::Synopsis& synopsis,
+                                              int64_t first, int64_t count) {
+  const int64_t n = synopsis.domain_size();
+  const int64_t root = n / count + first / count;
+  std::vector<double> local(static_cast<size_t>(count), 0.0);
+  dwm::ForEachPathNode(n, first, [&](int64_t node) {
+    if (node >= root) return;
+    const double c = synopsis.CoefficientValue(node);
+    if (c != 0.0) local[0] += dwm::LeafSign(n, node, first) * c;
+  });
+  for (const dwm::Coefficient& c : synopsis.coefficients()) {
+    if (c.index < root) continue;
+    int64_t top = c.index;
+    int depth = 0;
+    while (top > root) {
+      top >>= 1;
+      ++depth;
+    }
+    if (top != root) continue;  // not inside this subtree
+    const int64_t slot =
+        (int64_t{1} << depth) + (c.index - root * (int64_t{1} << depth));
+    if (slot < count) local[static_cast<size_t>(slot)] = c.value;
+  }
+  return dwm::InverseHaar(local);
+}
+
 }  // namespace
 
 int main() {
   dwm::bench::PrintHeader(
       "bench_kernels",
       "kernel micro suite (Haar forward/inverse, MinHaarSpace combine, "
-      "GreedyAbs discard loop)",
+      "GreedyAbs discard loop, synopsis point/range/reconstruct queries)",
       "optimized kernels match their scalar references bit for bit; "
       "timings feed the BENCH_micro regression gate");
   dwm::bench::BenchReporter reporter("kernels");
@@ -223,6 +294,71 @@ int main() {
            {{"checksum", ref_checksum}});
     dwm::bench::PrintShapeCheck(checksum == ref_checksum,
                                 "point checksum == lower_bound reference");
+
+    // Range sum over n_dp fixed random [lo, hi] ranges: the per-path
+    // cursors vs one lower_bound per path node. Checksum as above.
+    std::vector<std::pair<int64_t, int64_t>> ranges;
+    dwm::Rng rng(/*seed=*/3);
+    for (int64_t q = 0; q < n_dp; ++q) {
+      int64_t lo = static_cast<int64_t>(rng.NextBounded(
+          static_cast<uint64_t>(n_dp)));
+      int64_t hi = static_cast<int64_t>(rng.NextBounded(
+          static_cast<uint64_t>(n_dp)));
+      if (lo > hi) std::swap(lo, hi);
+      ranges.emplace_back(lo, hi);
+    }
+    double range_checksum = 0.0;
+    const double range_sec = MinSeconds([&] {
+      double sum = 0.0;
+      for (const auto& [lo, hi] : ranges) sum += synopsis.RangeSum(lo, hi);
+      range_checksum = sum;
+    });
+    report("synopsis-range", n_dp, 0.0, range_sec,
+           {{"checksum", range_checksum}});
+    double range_ref_checksum = 0.0;
+    const double range_ref_sec = MinSeconds([&] {
+      double sum = 0.0;
+      for (const auto& [lo, hi] : ranges) {
+        sum += RangeSumReference(synopsis, lo, hi);
+      }
+      range_ref_checksum = sum;
+    });
+    report("synopsis-range-ref", n_dp, 0.0, range_ref_sec,
+           {{"checksum", range_ref_checksum}});
+    dwm::bench::PrintShapeCheck(range_checksum == range_ref_checksum,
+                                "range checksum == lower_bound reference");
+
+    // Subtree reconstruction (the serve engine's cache-miss path): every
+    // aligned slice of every size 1..n_dp/2, slice cursor vs full
+    // coefficient scan. The checksum is the left-to-right sum of every
+    // reconstructed value.
+    const auto all_slices = [&](auto&& reconstruct) {
+      double sum = 0.0;
+      for (int64_t count = 1; count < n_dp; count <<= 1) {
+        for (int64_t first = 0; first < n_dp; first += count) {
+          sum += Sum(reconstruct(first, count));
+        }
+      }
+      return sum;
+    };
+    double rec_checksum = 0.0;
+    const double rec_sec = MinSeconds([&] {
+      rec_checksum = all_slices([&](int64_t first, int64_t count) {
+        return synopsis.ReconstructRange(first, count);
+      });
+    });
+    report("synopsis-reconstruct", n_dp, 0.0, rec_sec,
+           {{"checksum", rec_checksum}});
+    double rec_ref_checksum = 0.0;
+    const double rec_ref_sec = MinSeconds([&] {
+      rec_ref_checksum = all_slices([&](int64_t first, int64_t count) {
+        return ReconstructRangeReference(synopsis, first, count);
+      });
+    });
+    report("synopsis-reconstruct-ref", n_dp, 0.0, rec_ref_sec,
+           {{"checksum", rec_ref_checksum}});
+    dwm::bench::PrintShapeCheck(rec_checksum == rec_ref_checksum,
+                                "reconstruct checksum == full-scan reference");
   }
   return 0;
 }

@@ -43,6 +43,43 @@ Status ValidateSorted(int64_t domain_size,
   return Status::OK();
 }
 
+// Forward-only cursor over a coefficient array sorted by index. Targets
+// must be sought in non-decreasing order; each Seek gallops from the current
+// position (doubling probes bound the target, then a binary search over the
+// last octave pins it), so a walk over ascending indices costs O(log gap)
+// per step instead of O(log size). PointEstimate, RangeSum and
+// ReconstructRange all read the synopsis through it.
+class CoefficientCursor {
+ public:
+  explicit CoefficientCursor(const std::vector<Coefficient>& coefficients)
+      : pos_(coefficients.data()), end_(pos_ + coefficients.size()) {}
+
+  // Moves to the first coefficient with ->index >= index.
+  void Seek(int64_t index) {
+    if (pos_ == end_ || pos_->index >= index) return;
+    const size_t remaining = static_cast<size_t>(end_ - pos_);
+    size_t step = 1;
+    while (step < remaining && pos_[step].index < index) step <<= 1;
+    pos_ = std::lower_bound(
+        pos_ + (step >> 1), pos_ + std::min(step, remaining), index,
+        [](const Coefficient& c, int64_t idx) { return c.index < idx; });
+  }
+
+  // Value of coefficient `index`, or 0 if not retained. Seeks to it.
+  double Value(int64_t index) {
+    Seek(index);
+    return pos_ != end_ && pos_->index == index ? pos_->value : 0.0;
+  }
+
+  void Advance() { ++pos_; }
+  bool Done() const { return pos_ == end_; }
+  const Coefficient* operator->() const { return pos_; }
+
+ private:
+  const Coefficient* pos_;
+  const Coefficient* end_;
+};
+
 }  // namespace
 
 Synopsis::Synopsis(int64_t domain_size, std::vector<Coefficient> coefficients)
@@ -97,31 +134,10 @@ double Synopsis::PointEstimate(int64_t leaf) const {
     signs[len] = (child & 1) != 0 ? -1 : +1;
     ++len;
   }
-  // One merged walk: path indices ascend (0, 1, ..., LeafParent), and the
-  // coefficient array is sorted by index, so a single cursor gallops forward
-  // instead of re-running lower_bound over the whole array per node.
-  const Coefficient* cursor = coefficients_.data();
-  const Coefficient* const end = cursor + coefficients_.size();
-  const auto take = [&](int64_t index) -> double {
-    if (cursor->index < index) {
-      // Gallop to the first coefficient with ->index >= index: doubling
-      // probes bound the target, then a binary search over the last octave
-      // pins it. O(log gap) instead of O(log size) per path node.
-      const Coefficient* base = cursor;
-      size_t step = 1;
-      while (base + step < end && (base + step)->index < index) step <<= 1;
-      const Coefficient* hi = base + step < end ? base + step : end;
-      cursor = std::lower_bound(base + (step >> 1), hi, index,
-                                [](const Coefficient& c, int64_t idx) {
-                                  return c.index < idx;
-                                });
-    }
-    if (cursor != end && cursor->index == index) return cursor->value;
-    return 0.0;
-  };
-  double value = take(int64_t{0});  // the average node c_0 contributes +1
-  for (int i = len - 1; i >= 0 && cursor != end; --i) {
-    const double c = take(nodes[i]);
+  CoefficientCursor cursor(coefficients_);
+  double value = cursor.Value(int64_t{0});  // the average node c_0: +1
+  for (int i = len - 1; i >= 0 && !cursor.Done(); --i) {
+    const double c = cursor.Value(nodes[i]);
     if (c != 0.0) value += signs[i] * c;
   }
   return value;
@@ -135,8 +151,7 @@ double Synopsis::RangeSum(int64_t lo, int64_t hi) const {
   // in [lo, hi] contribute |leftleaves| - |rightleaves| = 0 and are skipped
   // (Section 2.2).
   double sum = 0.0;
-  auto contribution = [&](int64_t node) {
-    const double c = CoefficientValue(node);
+  auto contribution = [&](int64_t node, double c) {
     if (c == 0.0) return;
     if (node == 0) {
       sum += static_cast<double>(hi - lo + 1) * c;
@@ -151,21 +166,43 @@ double Synopsis::RangeSum(int64_t lo, int64_t hi) const {
         0, std::min(hi, r.first + r.count - 1) - std::max(lo, mid) + 1);
     sum += static_cast<double>(left_overlap - right_overlap) * c;
   };
+  // Both paths bottom-up (ending at c_0), each looked up top-down by its
+  // own cursor. Every leaf sits at the same depth, so the paths have the
+  // same length.
+  int64_t path_lo[64];
+  int64_t path_hi[64];
+  int len = 0;
+  for (int64_t a = LeafParent(domain_size_, lo),
+               b = LeafParent(domain_size_, hi);
+       a >= 1; a >>= 1, b >>= 1, ++len) {
+    path_lo[len] = a;
+    path_hi[len] = b;
+  }
+  path_lo[len] = 0;
+  path_hi[len] = 0;
+  ++len;
+  double values_lo[64];
+  double values_hi[64];
+  CoefficientCursor cursor_lo(coefficients_);
+  CoefficientCursor cursor_hi(coefficients_);
+  for (int i = len - 1; i >= 0; --i) {
+    values_lo[i] = cursor_lo.Value(path_lo[i]);
+    values_hi[i] = cursor_hi.Value(path_hi[i]);
+  }
   // Walk both paths in lock-step from the bottom; they merge at the lowest
   // common ancestor, above which each node is visited once.
-  int64_t a = LeafParent(domain_size_, lo);
-  int64_t b = LeafParent(domain_size_, hi);
-  while (a != b) {
-    if (a > b) {
-      contribution(a);
-      a >>= 1;
+  int i = 0;
+  int j = 0;
+  while (path_lo[i] != path_hi[j]) {
+    if (path_lo[i] > path_hi[j]) {
+      contribution(path_lo[i], values_lo[i]);
+      ++i;
     } else {
-      contribution(b);
-      b >>= 1;
+      contribution(path_hi[j], values_hi[j]);
+      ++j;
     }
   }
-  for (; a >= 1; a >>= 1) contribution(a);
-  contribution(0);
+  for (; i < len; ++i) contribution(path_lo[i], values_lo[i]);
   return sum;
 }
 
@@ -205,25 +242,31 @@ std::vector<double> Synopsis::ReconstructRange(int64_t first,
   // coefficients inside the subtree.
   const int64_t root = domain_size_ / count + first / count;
   std::vector<double> local(static_cast<size_t>(count), 0.0);
-  ForEachPathNode(domain_size_, first, [&](int64_t node) {
-    if (node >= root) return;  // strictly above the subtree only
-    const double c = CoefficientValue(node);
-    if (c != 0.0) local[0] += LeafSign(domain_size_, node, first) * c;
-  });
-  for (const Coefficient& c : coefficients_) {
-    // Global index of local slot s is root * 2^depth + offset; invert it.
-    int64_t g = c.index;
-    if (g < root) continue;
-    int64_t local_slot = 0;
-    int64_t top = g;
-    int depth = 0;
-    while (top > root) {
-      top >>= 1;
-      ++depth;
+  // Strict ancestors of `root`, bottom-up and ending at c_0; looked up
+  // top-down, then summed bottom-up.
+  int64_t ancestors[64];
+  double values[64];
+  int len = 0;
+  for (int64_t node = root >> 1; node >= 1; node >>= 1) ancestors[len++] = node;
+  ancestors[len++] = 0;
+  CoefficientCursor cursor(coefficients_);
+  for (int i = len - 1; i >= 0; --i) values[i] = cursor.Value(ancestors[i]);
+  for (int i = 0; i < len; ++i) {
+    if (values[i] != 0.0) {
+      local[0] += LeafSign(domain_size_, ancestors[i], first) * values[i];
     }
-    if (top != root) continue;  // not inside this subtree
-    local_slot = (int64_t{1} << depth) + (g - root * (int64_t{1} << depth));
-    if (local_slot < count) local[static_cast<size_t>(local_slot)] = c.value;
+  }
+  // The subtree's nodes `width` levels below `root` are the contiguous
+  // global indices [root * width, (root + 1) * width), landing in local
+  // slots [width, 2 * width). These index ranges ascend with depth, so the
+  // same cursor sweeps them in order.
+  for (int64_t width = 1; width < count; width <<= 1) {
+    const int64_t begin = root * width;
+    cursor.Seek(begin);
+    for (; !cursor.Done() && cursor->index < begin + width; cursor.Advance()) {
+      local[static_cast<size_t>(width + (cursor->index - begin))] =
+          cursor->value;
+    }
   }
   return InverseHaar(local);
 }

@@ -46,16 +46,19 @@ class Synopsis {
   // Value of coefficient `index`, or 0 if not retained. O(log size).
   double CoefficientValue(int64_t index) const;
 
+  // The three queries below read the sorted coefficient array through one
+  // forward galloping cursor (synopsis.cc): the error-tree indices they
+  // need ascend root-to-leaf, so each lookup costs O(log gap) from the
+  // previous one instead of a fresh O(log size) binary search.
+
   // Reconstructed value d_hat_j: sums the <= log n + 1 retained coefficients
-  // on path_j (Section 2.2). Implemented as one merged walk over the sorted
-  // coefficient array (path indices ascend root-to-leaf, so a galloping
-  // cursor never restarts the binary search per node) — this is the serving
-  // hot path.
+  // on path_j (Section 2.2) in one cursor walk — this is the serving hot
+  // path.
   double PointEstimate(int64_t leaf) const;
 
   // Range sum d(lo:hi), inclusive on both ends, using only coefficients on
-  // path_lo and path_hi (Section 2.2). lo == hi and the full domain
-  // [0, n-1] are both valid ranges.
+  // path_lo and path_hi (Section 2.2), one cursor per path: O(log n) gallop
+  // steps. lo == hi and the full domain [0, n-1] are both valid ranges.
   double RangeSum(int64_t lo, int64_t hi) const;
 
   // Dense coefficient array (zeros for dropped coefficients).
@@ -68,9 +71,12 @@ class Synopsis {
   // Reconstruction of the aligned slice [first, first + count): `count` must
   // be zero (an empty slice; returns an empty vector) or a power of two with
   // `first` a multiple of it (the slice is a subtree's leaf range).
-  // O(count + log n + size-in-slice) — this is what a distributed worker
-  // uses to evaluate its local partition and what the serve-side cache
-  // materializes per hot subtree.
+  // The subtree's coefficients at each depth are one contiguous index
+  // range, so the cursor visits the root's ancestors and then one slice per
+  // depth: O(count + log n * log size), touching only the coefficients in
+  // the slice and on the path above it. This is what a distributed worker
+  // uses to evaluate its local partition and what the serve engine computes
+  // on a block-cache miss.
   std::vector<double> ReconstructRange(int64_t first, int64_t count) const;
 
  private:

@@ -109,6 +109,9 @@ TEST(TraceBuildTest, CoversEveryJobPhaseAndAttempt) {
       case SpanKind::kDriver:
         ++driver_spans;
         break;
+      case SpanKind::kServe:
+        ADD_FAILURE() << "serve span in a build trace: " << s.name;
+        break;
     }
   }
   EXPECT_EQ(job_spans, static_cast<int64_t>(r.report.jobs.size()));

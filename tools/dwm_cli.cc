@@ -59,6 +59,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bits.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "core/conventional.h"
@@ -151,6 +152,51 @@ std::string Optional(const Flags& flags, const std::string& name,
   return it == flags.end() ? fallback : it->second;
 }
 
+// --budget for build/dbuild is a coefficient count: a negative one is a
+// usage error, not a request for an empty synopsis.
+int64_t RequireBudget(const Flags& flags) {
+  const int64_t budget = std::atoll(Require(flags, "budget").c_str());
+  if (budget < 0) {
+    std::fprintf(stderr, "--budget must be >= 0, got %lld\n",
+                 static_cast<long long>(budget));
+    std::exit(2);
+  }
+  return budget;
+}
+
+// Whether --base-leaves suits what `algo` reads it as over `n` (padded)
+// values; prints the reason when it does not. The partitioned drivers split
+// the domain into aligned base sub-trees of L leaves (a power of two,
+// 2 <= L <= n/2); send-v, send-coef and hwtopk take it as a mapper count;
+// dmhs and dih ignore it.
+bool ValidBaseLeaves(const std::string& algo, int64_t base_leaves, int64_t n) {
+  if (algo == "send-v" || algo == "send-coef" || algo == "hwtopk") {
+    if (base_leaves >= 1) return true;
+    std::fprintf(stderr, "--base-leaves must be >= 1 for %s, got %lld\n",
+                 algo.c_str(), static_cast<long long>(base_leaves));
+    return false;
+  }
+  if (algo != "dgreedy-abs" && algo != "dgreedy-rel" && algo != "dcon" &&
+      algo != "dmmv") {
+    return true;
+  }
+  if (n < 4) {
+    std::fprintf(stderr, "%s needs at least 4 input values, got %lld\n",
+                 algo.c_str(), static_cast<long long>(n));
+    return false;
+  }
+  if (base_leaves < 2 || base_leaves > n / 2 ||
+      !dwm::IsPowerOfTwo(static_cast<uint64_t>(base_leaves))) {
+    std::fprintf(stderr,
+                 "--base-leaves must be a power of two in [2, %lld] for %s, "
+                 "got %lld\n",
+                 static_cast<long long>(n / 2), algo.c_str(),
+                 static_cast<long long>(base_leaves));
+    return false;
+  }
+  return true;
+}
+
 std::vector<double> LoadData(const std::string& path) {
   std::vector<double> data;
   dwm::Status status = path.size() > 4 && path.substr(path.size() - 4) == ".csv"
@@ -215,7 +261,7 @@ int CmdBuild(const Flags& flags) {
   std::vector<double> data = LoadData(Require(flags, "input"));
   const int64_t original = dwm::PadToPowerOfTwo(&data);
   const std::string algo = Require(flags, "algo");
-  const int64_t budget = std::atoll(Require(flags, "budget").c_str());
+  const int64_t budget = RequireBudget(flags);
   const double sanity = std::atof(Optional(flags, "sanity", "1").c_str());
   const double quantum = std::atof(Optional(flags, "quantum", "1").c_str());
 
@@ -270,10 +316,14 @@ int CmdDBuild(const Flags& flags) {
   std::vector<double> data = LoadData(Require(flags, "input"));
   const int64_t original = dwm::PadToPowerOfTwo(&data);
   const std::string algo = Require(flags, "algo");
-  const int64_t budget = std::atoll(Require(flags, "budget").c_str());
+  const int64_t budget = RequireBudget(flags);
   const double sanity = std::atof(Optional(flags, "sanity", "1").c_str());
   const int64_t base_leaves = std::atoll(
       Optional(flags, "base-leaves", "256").c_str());
+  if (!ValidBaseLeaves(algo, base_leaves,
+                       static_cast<int64_t>(data.size()))) {
+    return 2;
+  }
   dwm::mr::ClusterConfig cluster;
   cluster.worker_threads = static_cast<int>(
       std::strtol(Optional(flags, "threads", "0").c_str(), nullptr, 10));
