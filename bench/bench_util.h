@@ -30,7 +30,6 @@
 #ifndef DWMAXERR_BENCH_BENCH_UTIL_H_
 #define DWMAXERR_BENCH_BENCH_UTIL_H_
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +38,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/parse.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "mr/cluster.h"
@@ -47,29 +47,13 @@
 
 namespace dwm::bench {
 
-// DWM_SCALE parsed strictly, mirroring the DWM_THREADS treatment in
-// mr::ResolveWorkerThreads: an optional sign followed by base-10 digits and
-// nothing else. Garbage ("abc", "2x", "0x4") warns once to stderr and
-// falls back to 0 instead of being silently misread as a prefix.
+// DWM_SCALE by the rule in common/parse.h, as a shift of a 64-bit size;
+// anything else warns once and falls back to 0.
 inline int ScaleShift() {
-  const char* env = std::getenv("DWM_SCALE");
-  if (env == nullptr || env[0] == '\0') return 0;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  const char* digits = (env[0] == '-' || env[0] == '+') ? env + 1 : env;
-  const bool valid =
-      end != env && *end == '\0' && digits[0] >= '0' && digits[0] <= '9';
-  if (!valid) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      std::fprintf(stderr,
-                   "warning: ignoring DWM_SCALE='%s' (expected a base-10 "
-                   "integer); using 0\n",
-                   env);
-    }
-    return 0;
-  }
-  return static_cast<int>(value);
+  return static_cast<int>(parse::Env<int64_t>("DWM_SCALE", -62, 62,
+                                              "an integer in [-62, 62]",
+                                              "using 0")
+                              .value_or(0));
 }
 
 inline int64_t ScaledN(int log2_default) {

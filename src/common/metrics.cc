@@ -5,37 +5,10 @@
 #include <cstdio>
 
 #include "common/check.h"
+#include "common/log.h"
 
 namespace dwm::metrics {
 namespace {
-
-void AppendJsonEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 // Deterministic numeric formatting shared by both exporters: integers print
 // exactly, everything else prints as %.9g (enough digits to distinguish any
@@ -74,7 +47,7 @@ void AppendPromLabels(std::string& out, const Labels& labels,
     first = false;
     out += key;
     out += "=\"";
-    AppendJsonEscaped(out, value);
+    log::AppendJsonEscaped(&out, value);
     out += '"';
   }
   if (!extra_key.empty()) {
@@ -94,9 +67,9 @@ void AppendJsonLabels(std::string& out, const Labels& labels) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    AppendJsonEscaped(out, key);
+    log::AppendJsonEscaped(&out, key);
     out += "\":\"";
-    AppendJsonEscaped(out, value);
+    log::AppendJsonEscaped(&out, value);
     out += '"';
   }
   out += '}';
@@ -315,7 +288,7 @@ std::string Registry::JsonText(const JsonOptions& options) const {
       if (!first_metric) out += ',';
       first_metric = false;
       out += "{\"name\":\"";
-      AppendJsonEscaped(out, name);
+      log::AppendJsonEscaped(&out, name);
       out += "\",\"type\":\"";
       out += type_name;
       out += "\",";

@@ -1,41 +1,22 @@
 #include "mr/cluster.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <queue>
 #include <thread>
 
 #include "common/check.h"
-#include "common/log.h"
+#include "common/parse.h"
 
 namespace dwm::mr {
 
 int ResolveWorkerThreads(int worker_threads) {
   if (worker_threads > 0) return worker_threads;
-  if (const char* env = std::getenv("DWM_THREADS")) {
-    char* end = nullptr;
-    const long parsed = std::strtol(env, &end, 10);
-    // Strict: plain base-10 digits only. strtol itself accepts leading
-    // whitespace and a sign, so require the first character to be a digit.
-    const bool consumed =
-        end != env && *end == '\0' && env[0] >= '0' && env[0] <= '9';
-    if (consumed && parsed > 0) {
-      return static_cast<int>(std::min(parsed, 1024L));
-    }
-    if (!consumed || parsed < 0) {
-      // "abc", "-3", "0x10", "16abc": strtol used to misread these as their
-      // numeric prefix (or 0) and silently fall through to auto. Warn once
-      // so a typo'd knob is visible; "0" stays the silent explicit-auto.
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true)) {
-        log::Warn("env_parse_error")
-            .Str("knob", "DWM_THREADS")
-            .Str("value", env)
-            .Str("want", "a positive integer")
-            .Str("action", "using auto");
-      }
-    }
+  // "0" is the silent explicit-auto spelling; values above 1024 clamp.
+  if (const auto threads = parse::Env<uint64_t>(
+          "DWM_THREADS", 0, UINT64_MAX, "a positive integer", "using auto");
+      threads && *threads > 0) {
+    return static_cast<int>(std::min<uint64_t>(*threads, 1024));
   }
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : static_cast<int>(hardware);
@@ -43,23 +24,10 @@ int ResolveWorkerThreads(int worker_threads) {
 
 int64_t ResolveMaxSkippedBadRecords(int64_t max_skipped_bad_records) {
   if (max_skipped_bad_records >= 0) return max_skipped_bad_records;
-  if (const char* env = std::getenv("DWM_SKIP_BAD_RECORDS")) {
-    char* end = nullptr;
-    const long long parsed = std::strtoll(env, &end, 10);
-    // Strict, like DWM_THREADS: plain base-10 digits only.
-    const bool consumed =
-        end != env && *end == '\0' && env[0] >= '0' && env[0] <= '9';
-    if (consumed && parsed >= 0) return static_cast<int64_t>(parsed);
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      log::Warn("env_parse_error")
-          .Str("knob", "DWM_SKIP_BAD_RECORDS")
-          .Str("value", env)
-          .Str("want", "a non-negative integer")
-          .Str("action", "quarantine stays off");
-    }
-  }
-  return 0;
+  return static_cast<int64_t>(
+      parse::Env<uint64_t>("DWM_SKIP_BAD_RECORDS", 0, INT64_MAX,
+                           "a non-negative integer", "quarantine stays off")
+          .value_or(0));
 }
 
 std::string ResolveCheckpointDir(const std::string& checkpoint_dir) {
@@ -141,29 +109,33 @@ Status ClusterConfig::Validate() const {
   return Status::OK();
 }
 
-JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config) {
-  JobStats out = job;
+void ModelJobTimes(const ClusterConfig& config, JobStats* stats) {
   const RecoverySchedule map_sched = ScheduleMakespanAttempts(
-      job.map_attempts, config.map_slots,
+      stats->map_attempts, config.map_slots,
       config.speculative_slowness_threshold, /*record_placements=*/false,
       config.retry_backoff_seconds);
   const RecoverySchedule reduce_sched = ScheduleMakespanAttempts(
-      job.reduce_attempts, config.reduce_slots,
+      stats->reduce_attempts, config.reduce_slots,
       config.speculative_slowness_threshold, /*record_placements=*/false,
       config.retry_backoff_seconds);
-  out.map_makespan_seconds = map_sched.makespan_seconds;
-  out.reduce_makespan_seconds = reduce_sched.makespan_seconds;
+  stats->map_makespan_seconds = map_sched.makespan_seconds;
+  stats->reduce_makespan_seconds = reduce_sched.makespan_seconds;
   // Speculative backups are a scheduling decision, so they re-derive with
-  // the new slot counts/threshold (more slots can admit more backups).
-  out.speculative_backups =
+  // the slot counts/threshold (more slots can admit more backups).
+  stats->speculative_backups =
       map_sched.speculative_backups + reduce_sched.speculative_backups;
+  stats->shuffle_seconds = static_cast<double>(stats->shuffle_bytes) /
+                           config.network_bytes_per_second;
+  stats->job_overhead_seconds = config.job_overhead_seconds;
+}
+
+JobStats RescheduleJob(const JobStats& job, const ClusterConfig& config) {
   // Every config-derived quantity must follow the new config (see the
   // contract in cluster.h); copying the original run's values silently
   // reported stale shuffle/overhead times when rescheduling onto a cluster
   // with a different network bandwidth or job overhead.
-  out.shuffle_seconds =
-      static_cast<double>(job.shuffle_bytes) / config.network_bytes_per_second;
-  out.job_overhead_seconds = config.job_overhead_seconds;
+  JobStats out = job;
+  ModelJobTimes(config, &out);
   return out;
 }
 

@@ -95,16 +95,16 @@ struct ClusterConfig {
 
 // Effective engine concurrency for a ClusterConfig::worker_threads value
 // (resolves the 0 = auto case as documented above); always >= 1.
-// DWM_THREADS is parsed strictly: a value that is not a plain base-10
-// positive integer ("abc", "-3", "0x10", "16abc") warns once to stderr and
-// falls back to auto instead of being silently misread; "0" is the
-// documented explicit-auto spelling and stays silent.
+// DWM_THREADS is read by the rule in common/parse.h: anything else ("abc",
+// "-3", "0x10", "16abc") warns once and falls back to auto instead of being
+// silently misread; "0" is the documented explicit-auto spelling and stays
+// silent, and values above 1024 clamp.
 int ResolveWorkerThreads(int worker_threads);
 
 // Effective quarantine budget for a ClusterConfig::max_skipped_bad_records
 // value (resolves the -1 = auto case against DWM_SKIP_BAD_RECORDS); always
-// >= 0. Like DWM_THREADS, the variable is parsed strictly: anything but a
-// plain base-10 non-negative integer warns once and falls back to 0.
+// >= 0. Like DWM_THREADS, the variable is read by the rule in
+// common/parse.h: anything else warns once and falls back to 0.
 int64_t ResolveMaxSkippedBadRecords(int64_t max_skipped_bad_records);
 
 // Effective checkpoint directory for a ClusterConfig::checkpoint_dir value
@@ -274,6 +274,12 @@ struct SimReport {
   }
   int64_t total_jobs() const { return static_cast<int64_t>(jobs.size()); }
 };
+
+// Sets the modeled fields of `stats` (map/reduce makespans, speculative
+// backups, shuffle_seconds, job_overhead_seconds) from its attempt
+// histories and shuffle bytes under `config`; RunJobOr and RescheduleJob
+// share it.
+void ModelJobTimes(const ClusterConfig& config, JobStats* stats);
 
 // Recomputes a job's (or report's) *modeled* quantities for a different
 // cluster, reusing the recorded measurements. Contract: everything derived

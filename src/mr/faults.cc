@@ -2,9 +2,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/log.h"
 #include "common/metrics.h"
+#include "common/parse.h"
 #include "mr/cluster.h"
 
 namespace dwm::mr {
@@ -67,26 +69,6 @@ double U01(uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-// Strict full-string number parsing (the spec format rejects garbage).
-bool ParseDouble(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseSeed(const std::string& text, uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
-  if (text[0] == '-' || text[0] == '+') return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
 }  // namespace
 
 const char* TaskPhaseName(TaskPhase phase) {
@@ -111,8 +93,8 @@ FaultPlan FaultPlan::Disabled() {
 Status FaultPlan::Parse(const std::string& text, FaultPlan* plan) {
   const size_t colon = text.find(':');
   const std::string seed_text = text.substr(0, colon);
-  uint64_t seed = 0;
-  if (!ParseSeed(seed_text, &seed)) {
+  const std::optional<uint64_t> seed = parse::Number<uint64_t>(seed_text);
+  if (!seed) {
     return Status::InvalidArgument("fault spec '" + text +
                                    "': seed must be a non-negative integer");
   }
@@ -147,12 +129,22 @@ Status FaultPlan::Parse(const std::string& text, FaultPlan* plan) {
       }
       const std::string key = kv.substr(0, eq);
       const std::string val = kv.substr(eq + 1);
-      double num = 0.0;
-      if (!ParseDouble(val, &num)) {
+      if (key == "nodes") {
+        const std::optional<int64_t> nodes = parse::Number<int64_t>(val);
+        if (!nodes || *nodes < 1 || *nodes > std::numeric_limits<int>::max()) {
+          return Status::InvalidArgument(
+              "fault spec '" + text + "': nodes must be a positive integer");
+        }
+        spec.num_nodes = static_cast<int>(*nodes);
+        continue;
+      }
+      const std::optional<double> parsed = parse::Number<double>(val);
+      if (!parsed) {
         return Status::InvalidArgument("fault spec '" + text +
                                        "': bad number '" + val + "' for '" +
                                        key + "'");
       }
+      const double num = *parsed;
       auto rate_ok = [&num] { return num >= 0.0 && num <= 1.0; };
       if (key == "fail") {
         if (!rate_ok()) {
@@ -191,19 +183,13 @@ Status FaultPlan::Parse(const std::string& text, FaultPlan* plan) {
                                          "': node_loss must be in [0,1]");
         }
         spec.node_loss_rate = num;
-      } else if (key == "nodes") {
-        if (num < 1.0 || num != static_cast<double>(static_cast<int>(num))) {
-          return Status::InvalidArgument(
-              "fault spec '" + text + "': nodes must be a positive integer");
-        }
-        spec.num_nodes = static_cast<int>(num);
       } else {
         return Status::InvalidArgument("fault spec '" + text +
                                        "': unknown key '" + key + "'");
       }
     }
   }
-  *plan = FaultPlan(seed, spec);
+  *plan = FaultPlan(*seed, spec);
   return Status::OK();
 }
 

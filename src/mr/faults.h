@@ -14,6 +14,8 @@
 //   "<seed>"            seed with the default chaos profile (see Parse)
 //   "<seed>:k=v,k=v"    explicit profile; keys: fail, map_fail, reduce_fail,
 //                       straggle, slowdown, node_loss, nodes
+// Numbers follow the rule in common/parse.h: the seed and `nodes` are
+// integers, every other value a finite double.
 #ifndef DWMAXERR_MR_FAULTS_H_
 #define DWMAXERR_MR_FAULTS_H_
 

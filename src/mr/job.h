@@ -579,20 +579,7 @@ template <typename Split, typename K, typename V, typename Out>
   }
   stats->output_records = static_cast<int64_t>(output->size());
 
-  const RecoverySchedule map_sched = ScheduleMakespanAttempts(
-      stats->map_attempts, config.map_slots,
-      config.speculative_slowness_threshold, /*record_placements=*/false,
-      config.retry_backoff_seconds);
-  const RecoverySchedule reduce_sched = ScheduleMakespanAttempts(
-      stats->reduce_attempts, config.reduce_slots,
-      config.speculative_slowness_threshold, /*record_placements=*/false,
-      config.retry_backoff_seconds);
-  stats->map_makespan_seconds = map_sched.makespan_seconds;
-  stats->shuffle_seconds =
-      static_cast<double>(shuffle_bytes) / config.network_bytes_per_second;
-  stats->reduce_makespan_seconds = reduce_sched.makespan_seconds;
-  stats->speculative_backups =
-      map_sched.speculative_backups + reduce_sched.speculative_backups;
+  ModelJobTimes(config, stats);
   // Fault accounting stays all-zero on a fault-free run (the JobStats
   // contract): a clean task_attempts == tasks tally would only restate the
   // task counts.

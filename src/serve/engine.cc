@@ -1,45 +1,16 @@
 #include "serve/engine.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
 #include "common/bits.h"
 #include "common/check.h"
+#include "common/parse.h"
 
 namespace dwm::serve {
-namespace {
-
-// Strict parse of a non-negative integer; returns false (leaving *out
-// alone) on empty/garbage/trailing characters rather than truncating.
-bool ParseBytes(const char* text, uint64_t* out) {
-  if (text == nullptr || *text == '\0') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-// Warn-once helper shared by the FromEnv knobs (the DWM_THREADS contract:
-// strict parse, keep the default, one `env_parse_error` record per knob per
-// process).
-void WarnBadEnv(std::atomic<bool>* warned, const char* knob, const char* value,
-                const char* want, const char* action) {
-  if (warned->exchange(true)) return;
-  log::Warn("env_parse_error")
-      .Str("knob", knob)
-      .Str("value", value)
-      .Str("want", want)
-      .Str("action", action);
-}
-
-}  // namespace
 
 const std::vector<double>& ServeLatencyBounds() {
   // Factor-2 exponential: 0.1us, 0.2us, ... ~0.84s (24 buckets + overflow).
@@ -50,37 +21,20 @@ const std::vector<double>& ServeLatencyBounds() {
 
 EngineOptions EngineOptions::FromEnv() {
   EngineOptions options;
-  if (const char* text = std::getenv("DWM_SERVE_CACHE_BYTES")) {
-    static std::atomic<bool> warned{false};
-    uint64_t bytes = 0;
-    if (ParseBytes(text, &bytes)) {
-      options.cache_bytes = bytes;
-    } else {
-      WarnBadEnv(&warned, "DWM_SERVE_CACHE_BYTES", text,
-                 "a non-negative byte count", "keeping default");
-    }
+  options.cache_bytes =
+      parse::Env<uint64_t>("DWM_SERVE_CACHE_BYTES", 0, UINT64_MAX,
+                           "a non-negative byte count", "keeping default")
+          .value_or(options.cache_bytes);
+  if (const auto leaves = parse::Env<uint64_t>(
+          "DWM_SERVE_BLOCK_LEAVES", 1, 1ULL << 62,
+          "a positive power-of-two leaf count", "keeping default",
+          &IsPowerOfTwo)) {
+    options.block_leaves = static_cast<int64_t>(*leaves);
   }
-  if (const char* text = std::getenv("DWM_SERVE_BLOCK_LEAVES")) {
-    static std::atomic<bool> warned{false};
-    uint64_t leaves = 0;
-    if (ParseBytes(text, &leaves) && leaves > 0 &&
-        leaves <= (1ULL << 62) && IsPowerOfTwo(leaves)) {
-      options.block_leaves = static_cast<int64_t>(leaves);
-    } else {
-      WarnBadEnv(&warned, "DWM_SERVE_BLOCK_LEAVES", text,
-                 "a positive power-of-two leaf count", "keeping default");
-    }
-  }
-  if (const char* text = std::getenv("DWM_SLOW_QUERY_US")) {
-    static std::atomic<bool> warned{false};
-    uint64_t us = 0;
-    if (ParseBytes(text, &us) && us <= (1ULL << 62)) {
-      options.slow_query_us = static_cast<int64_t>(us);
-    } else {
-      WarnBadEnv(&warned, "DWM_SLOW_QUERY_US", text,
-                 "a non-negative microsecond threshold",
-                 "slow-query log disabled");
-    }
+  if (const auto us = parse::Env<uint64_t>(
+          "DWM_SLOW_QUERY_US", 0, 1ULL << 62,
+          "a non-negative microsecond threshold", "slow-query log disabled")) {
+    options.slow_query_us = static_cast<int64_t>(*us);
   }
   return options;
 }
@@ -276,12 +230,10 @@ Status QueryEngine::AnswerBatch(const ShardKey& key,
     const SubtreeCache::Stats now = cache_.stats();
     request_hits = static_cast<int64_t>(now.hits - before.hits);
     request_misses = static_cast<int64_t>(now.misses - before.misses);
-    cache_hits_->Increment(static_cast<int64_t>(now.hits - exported_.hits));
-    cache_misses_->Increment(
-        static_cast<int64_t>(now.misses - exported_.misses));
+    cache_hits_->Increment(request_hits);
+    cache_misses_->Increment(request_misses);
     cache_evictions_->Increment(
-        static_cast<int64_t>(now.evictions - exported_.evictions));
-    exported_ = now;
+        static_cast<int64_t>(now.evictions - before.evictions));
   }
   end_phase();
 

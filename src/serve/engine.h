@@ -64,10 +64,10 @@ struct EngineOptions {
   double slow_query_log_per_second = 100.0;
 
   // Defaults, with cache_bytes / block_leaves / slow_query_us overridden by
-  // strictly parsed DWM_SERVE_CACHE_BYTES / DWM_SERVE_BLOCK_LEAVES /
-  // DWM_SLOW_QUERY_US. A malformed value — or a non-power-of-two
-  // DWM_SERVE_BLOCK_LEAVES — keeps the default and warns once via an
-  // `env_parse_error` log record, never truncates.
+  // DWM_SERVE_CACHE_BYTES / DWM_SERVE_BLOCK_LEAVES / DWM_SLOW_QUERY_US, read
+  // by the rule in common/parse.h. A malformed value — or a
+  // non-power-of-two DWM_SERVE_BLOCK_LEAVES — keeps the default and warns
+  // once via an `env_parse_error` log record, never truncates.
   static EngineOptions FromEnv();
 };
 
@@ -161,7 +161,6 @@ class QueryEngine {
   metrics::Histogram* const latency_point_;
   metrics::Histogram* const latency_range_sum_;
   metrics::Histogram* const latency_range_avg_;
-  SubtreeCache::Stats exported_;  // last stats synced into the counters
 };
 
 }  // namespace dwm::serve

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "common/bits.h"
+#include "common/log.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/status.h"
 
@@ -111,6 +117,117 @@ TEST(StatusTest, OkAndErrors) {
   EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
+}
+
+// The one parse rule (common/parse.h): the whole string, base 10, no
+// whitespace, no '+', no hex, '-' only for signed types, no overflow,
+// finite doubles.
+TEST(ParseTest, IntegersFollowTheOneRule) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr uint64_t kUMax = std::numeric_limits<uint64_t>::max();
+  struct Case {
+    const char* text;
+    std::optional<int64_t> as_int;
+    std::optional<uint64_t> as_uint;
+  };
+  const Case cases[] = {
+      {"0", 0, 0u},
+      {"42", 42, 42u},
+      {"007", 7, 7u},
+      {"-3", -3, std::nullopt},
+      {"-0", 0, std::nullopt},
+      {"9223372036854775807", kMax, static_cast<uint64_t>(kMax)},
+      {"9223372036854775808", std::nullopt, uint64_t{1} << 63},
+      {"-9223372036854775808", kMin, std::nullopt},
+      {"-9223372036854775809", std::nullopt, std::nullopt},
+      {"18446744073709551615", std::nullopt, kUMax},
+      {"18446744073709551616", std::nullopt, std::nullopt},
+      {"", std::nullopt, std::nullopt},
+      {" 4", std::nullopt, std::nullopt},
+      {"4 ", std::nullopt, std::nullopt},
+      {"\t4", std::nullopt, std::nullopt},
+      {"4\n", std::nullopt, std::nullopt},
+      {"+4", std::nullopt, std::nullopt},
+      {"++2", std::nullopt, std::nullopt},
+      {"--2", std::nullopt, std::nullopt},
+      {"-", std::nullopt, std::nullopt},
+      {"0x10", std::nullopt, std::nullopt},
+      {"12abc", std::nullopt, std::nullopt},
+      {"abc", std::nullopt, std::nullopt},
+      {"1e3", std::nullopt, std::nullopt},
+      {"1.0", std::nullopt, std::nullopt},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(parse::Number<int64_t>(c.text), c.as_int) << "'" << c.text
+                                                        << "'";
+    EXPECT_EQ(parse::Number<uint64_t>(c.text), c.as_uint) << "'" << c.text
+                                                          << "'";
+  }
+}
+
+TEST(ParseTest, DoublesFollowTheOneRule) {
+  struct Case {
+    const char* text;
+    std::optional<double> value;
+  };
+  const Case cases[] = {
+      {"0", 0.0},
+      {"1.5", 1.5},
+      {"-2.25", -2.25},
+      {".5", 0.5},
+      {"5.", 5.0},
+      {"1e3", 1000.0},
+      {"1E-3", 0.001},
+      {"007", 7.0},
+      {"", std::nullopt},
+      {" 1", std::nullopt},
+      {"1 ", std::nullopt},
+      {"+1", std::nullopt},
+      {"0x1p3", std::nullopt},
+      {"inf", std::nullopt},
+      {"-inf", std::nullopt},
+      {"infinity", std::nullopt},
+      {"nan", std::nullopt},
+      {"NaN", std::nullopt},
+      {"1e400", std::nullopt},
+      {"-1e400", std::nullopt},
+      {"1.5x", std::nullopt},
+      {"abc", std::nullopt},
+      {".", std::nullopt},
+      {"1e", std::nullopt},
+      {"-", std::nullopt},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(parse::Number<double>(c.text), c.value) << "'" << c.text << "'";
+  }
+}
+
+TEST(ParseTest, EnvKeepsTheCallerRangeAndWarnsOncePerKnob) {
+  const char* knob = "DWM_PARSE_TEST_KNOB";
+  const auto read = [knob] {
+    return parse::Env<uint64_t>(
+        knob, 1, 64, "a power of two in [1, 64]", "keeping default",
+        [](uint64_t v) { return IsPowerOfTwo(v); });
+  };
+  ASSERT_EQ(unsetenv(knob), 0);
+  log::ScopedCapture capture;
+  EXPECT_EQ(read(), std::nullopt);  // unset: silent
+  ASSERT_EQ(setenv(knob, "32", 1), 0);
+  EXPECT_EQ(read(), 32u);
+  for (const char* bad : {"48", "128", "0", "+32", " 32", "32abc", "-1"}) {
+    ASSERT_EQ(setenv(knob, bad, 1), 0);
+    EXPECT_EQ(read(), std::nullopt) << "'" << bad << "'";
+  }
+  ASSERT_EQ(unsetenv(knob), 0);
+  const std::string& text = capture.text();
+  const std::string record =
+      "{\"lvl\":\"warn\",\"event\":\"env_parse_error\",\"knob\":"
+      "\"DWM_PARSE_TEST_KNOB\",\"value\":\"48\",\"want\":\"a power of two "
+      "in [1, 64]\",\"action\":\"keeping default\"";
+  EXPECT_EQ(text.find(record), 0u) << text;
+  EXPECT_EQ(text.find("env_parse_error", record.size()), std::string::npos)
+      << text;
 }
 
 }  // namespace

@@ -80,6 +80,11 @@ TEST(FaultPlanParseTest, MalformedTextRejectedWithoutTouchingPlan) {
       "",          "abc",        "-1",          "1.5",
       "1:bogus=1", "1:fail=1.5", "1:fail=-0.1", "1:slowdown=0.5",
       "1:nodes=0", "1:fail",     "1:fail=abc",  "1:",
+      // Numbers follow common/parse.h: no whitespace or '+', finite
+      // doubles, and an integer node count.
+      " 7", "+7", "1:slowdown=inf", "1:straggle=1,slowdown=inf",
+      "1:slowdown=nan", "1:fail= 0.5", "1:nodes=8.0", "1:nodes=1e10",
+      "1:nodes=99999999999",
   };
   for (const char* text : kBad) {
     FaultPlan plan;

@@ -557,6 +557,23 @@ TEST_F(QueryEngineTest, SlowQueryEnvOverrideParsesStrictly) {
   EXPECT_EQ(EngineOptions::FromEnv().slow_query_us, -1);
 }
 
+TEST_F(QueryEngineTest, CacheBytesEnvOverrideParsesStrictly) {
+  const uint64_t fallback = EngineOptions().cache_bytes;
+  ASSERT_EQ(setenv("DWM_SERVE_CACHE_BYTES", "4096", 1), 0);
+  EXPECT_EQ(EngineOptions::FromEnv().cache_bytes, 4096u);
+  ASSERT_EQ(setenv("DWM_SERVE_CACHE_BYTES", "0", 1), 0);
+  EXPECT_EQ(EngineOptions::FromEnv().cache_bytes, 0u);
+  // "-1" must not wrap to 2^64 - 1 (an unbounded cache); '+' and a leading
+  // space are not base-10 digits. Each keeps the default.
+  for (const char* bad : {"-1", "+4096", " 4096", "4096 ", "16MiB"}) {
+    ASSERT_EQ(setenv("DWM_SERVE_CACHE_BYTES", bad, 1), 0);
+    EXPECT_EQ(EngineOptions::FromEnv().cache_bytes, fallback)
+        << "'" << bad << "'";
+  }
+  ASSERT_EQ(unsetenv("DWM_SERVE_CACHE_BYTES"), 0);
+  EXPECT_EQ(EngineOptions::FromEnv().cache_bytes, fallback);
+}
+
 TEST_F(QueryEngineTest, TracerRecordsOneSpanTreePerRequest) {
   QueryEngine engine(SmallCacheOptions(1 << 16));
   const ShardKey key{"ds", "a", 8};

@@ -53,15 +53,19 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/log.h"
 #include "common/metrics.h"
+#include "common/parse.h"
 #include "core/conventional.h"
 #include "core/greedy_abs.h"
 #include "core/greedy_rel.h"
@@ -152,16 +156,46 @@ std::string Optional(const Flags& flags, const std::string& name,
   return it == flags.end() ? fallback : it->second;
 }
 
-// --budget for build/dbuild is a coefficient count: a negative one is a
-// usage error, not a request for an empty synopsis.
-int64_t RequireBudget(const Flags& flags) {
-  const int64_t budget = std::atoll(Require(flags, "budget").c_str());
-  if (budget < 0) {
-    std::fprintf(stderr, "--budget must be >= 0, got %lld\n",
-                 static_cast<long long>(budget));
-    std::exit(2);
+// The smallest positive double: a lower bound of kPositive means "> 0".
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+
+// Numeric flag --name by the rule in common/parse.h, within [lo, hi]; an
+// absent flag yields `fallback`, or is a usage error when there is none.
+// Bad input prints "--name: want ..., got '...'" and exits 2.
+template <typename T>
+T NumberFlag(const Flags& flags, const std::string& name,
+             std::optional<T> fallback, T lo, T hi) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) {
+    if (!fallback) Require(flags, name);  // required and absent: exits 2
+    return *fallback;
   }
-  return budget;
+  const std::optional<T> value = dwm::parse::Number<T>(it->second);
+  if (value && lo <= *value && *value <= hi) return *value;
+  std::ostringstream want;
+  want << (std::is_floating_point_v<T> ? "a finite number" : "an integer");
+  if constexpr (std::is_floating_point_v<T>) {
+    want << (lo == kPositive ? " > " : " >= ") << (lo == kPositive ? 0 : lo);
+  } else if (std::is_unsigned_v<T> || lo != std::numeric_limits<T>::min()) {
+    want << " >= " << lo;
+  }
+  if (hi != std::numeric_limits<T>::max()) want << " and <= " << hi;
+  std::fprintf(stderr, "--%s: want %s, got '%s'\n", name.c_str(),
+               want.str().c_str(), it->second.c_str());
+  std::exit(2);
+}
+
+int64_t IntFlag(const Flags& flags, const std::string& name,
+                std::optional<int64_t> fallback,
+                int64_t lo = std::numeric_limits<int64_t>::lowest(),
+                int64_t hi = std::numeric_limits<int64_t>::max()) {
+  return NumberFlag(flags, name, fallback, lo, hi);
+}
+
+double DoubleFlag(const Flags& flags, const std::string& name,
+                  std::optional<double> fallback, double lo,
+                  double hi = std::numeric_limits<double>::max()) {
+  return NumberFlag(flags, name, fallback, lo, hi);
 }
 
 // Whether --base-leaves suits what `algo` reads it as over `n` (padded)
@@ -225,10 +259,10 @@ dwm::Synopsis LoadSynopsis(const std::string& path) {
 
 int CmdGen(const Flags& flags) {
   const std::string dataset = Require(flags, "dataset");
-  const int64_t n = std::atoll(Require(flags, "n").c_str());
-  const uint64_t seed =
-      static_cast<uint64_t>(std::atoll(Optional(flags, "seed", "1").c_str()));
-  const double max_value = std::atof(Optional(flags, "max", "1000").c_str());
+  const int64_t n = IntFlag(flags, "n", std::nullopt, 1);
+  const uint64_t seed = NumberFlag<uint64_t>(
+      flags, "seed", 1, 0, std::numeric_limits<uint64_t>::max());
+  const double max_value = DoubleFlag(flags, "max", 1000, 1);
   std::vector<double> data;
   if (dataset == "uniform") {
     data = dwm::MakeUniform(n, max_value, seed);
@@ -261,9 +295,9 @@ int CmdBuild(const Flags& flags) {
   std::vector<double> data = LoadData(Require(flags, "input"));
   const int64_t original = dwm::PadToPowerOfTwo(&data);
   const std::string algo = Require(flags, "algo");
-  const int64_t budget = RequireBudget(flags);
-  const double sanity = std::atof(Optional(flags, "sanity", "1").c_str());
-  const double quantum = std::atof(Optional(flags, "quantum", "1").c_str());
+  const int64_t budget = IntFlag(flags, "budget", std::nullopt, 0);
+  const double sanity = DoubleFlag(flags, "sanity", 1, kPositive);
+  const double quantum = DoubleFlag(flags, "quantum", 1, kPositive);
 
   dwm::Synopsis synopsis;
   if (algo == "greedy-abs") {
@@ -316,17 +350,16 @@ int CmdDBuild(const Flags& flags) {
   std::vector<double> data = LoadData(Require(flags, "input"));
   const int64_t original = dwm::PadToPowerOfTwo(&data);
   const std::string algo = Require(flags, "algo");
-  const int64_t budget = RequireBudget(flags);
-  const double sanity = std::atof(Optional(flags, "sanity", "1").c_str());
-  const int64_t base_leaves = std::atoll(
-      Optional(flags, "base-leaves", "256").c_str());
+  const int64_t budget = IntFlag(flags, "budget", std::nullopt, 0);
+  const double sanity = DoubleFlag(flags, "sanity", 1, kPositive);
+  const int64_t base_leaves = IntFlag(flags, "base-leaves", 256);
   if (!ValidBaseLeaves(algo, base_leaves,
                        static_cast<int64_t>(data.size()))) {
     return 2;
   }
   dwm::mr::ClusterConfig cluster;
-  cluster.worker_threads = static_cast<int>(
-      std::strtol(Optional(flags, "threads", "0").c_str(), nullptr, 10));
+  cluster.worker_threads =
+      static_cast<int>(IntFlag(flags, "threads", 0, 0, 1024));
   const std::string faults_text = Optional(flags, "faults", "");
   if (!faults_text.empty()) {
     const dwm::Status parsed =
@@ -376,8 +409,8 @@ int CmdDBuild(const Flags& flags) {
     job_status = r.status;
   } else if (algo == "dmhs") {
     dwm::DmhsOptions options;
-    options.error_bound = std::atof(Optional(flags, "eps", "1").c_str());
-    options.quantum = std::atof(Optional(flags, "quantum", "0.5").c_str());
+    options.error_bound = DoubleFlag(flags, "eps", 1, 0);
+    options.quantum = DoubleFlag(flags, "quantum", 0.5, kPositive);
     options.subtree_inputs =
         std::min<int64_t>(options.subtree_inputs,
                           static_cast<int64_t>(data.size()) / 2);
@@ -402,7 +435,7 @@ int CmdDBuild(const Flags& flags) {
   } else if (algo == "dih") {
     dwm::DIndirectHaarOptions options;
     options.budget = budget;
-    options.quantum = std::atof(Optional(flags, "quantum", "0.5").c_str());
+    options.quantum = DoubleFlag(flags, "quantum", 0.5, kPositive);
     options.subtree_inputs =
         std::min<int64_t>(options.subtree_inputs,
                           static_cast<int64_t>(data.size()) / 2);
@@ -542,7 +575,7 @@ int CmdInfo(const Flags& flags) {
 
 int CmdPoint(const Flags& flags) {
   const dwm::Synopsis synopsis = LoadSynopsis(Require(flags, "synopsis"));
-  const int64_t index = std::atoll(Require(flags, "index").c_str());
+  const int64_t index = IntFlag(flags, "index", std::nullopt);
   if (index < 0 || index >= synopsis.domain_size()) {
     std::fprintf(stderr, "index out of range\n");
     return 2;
@@ -553,8 +586,8 @@ int CmdPoint(const Flags& flags) {
 
 int CmdSum(const Flags& flags) {
   const dwm::Synopsis synopsis = LoadSynopsis(Require(flags, "synopsis"));
-  const int64_t from = std::atoll(Require(flags, "from").c_str());
-  const int64_t to = std::atoll(Require(flags, "to").c_str());
+  const int64_t from = IntFlag(flags, "from", std::nullopt);
+  const int64_t to = IntFlag(flags, "to", std::nullopt);
   if (from < 0 || to < from || to >= synopsis.domain_size()) {
     std::fprintf(stderr, "bad range\n");
     return 2;
@@ -573,7 +606,7 @@ int CmdEval(const Flags& flags) {
                  static_cast<long long>(data.size()));
     return 2;
   }
-  const double sanity = std::atof(Optional(flags, "sanity", "1").c_str());
+  const double sanity = DoubleFlag(flags, "sanity", 1, kPositive);
   std::printf("max_abs: %.6f\n", dwm::MaxAbsError(data, synopsis));
   std::printf("max_rel: %.6f (sanity %.3f)\n",
               dwm::MaxRelError(data, synopsis, sanity), sanity);
@@ -644,8 +677,7 @@ int CmdPack(const Flags& flags) {
   }
   frame.dataset = Optional(flags, "dataset", frame.dataset);
   frame.algo = Optional(flags, "algo", frame.algo);
-  frame.budget = std::atoll(
-      Optional(flags, "budget", std::to_string(frame.budget)).c_str());
+  frame.budget = IntFlag(flags, "budget", frame.budget, 0);
   const std::string output = Require(flags, "output");
   const dwm::Status saved = dwm::serve::SaveSynopsisFrame(output, frame);
   if (!saved.ok()) {

@@ -14,8 +14,10 @@ Checks (each can be suppressed per line with `// dwm-lint: allow(<rule>)`):
                   template argument).
   no-float        No `float` in public APIs (headers under src/): the paper's
                   error guarantees are analyzed in double precision.
-  banned-function No calls to rand, atoi or strcpy (use Rng, strtol/
-                  from_chars and std::string/memcpy instead).
+  banned-function No calls to rand, strcpy, or the C text-to-number
+                  functions (atoi, atol, atoll, atof, strtol, strtoll,
+                  strtoul, strtoull, strtod): use Rng, std::string/memcpy,
+                  and the one strict parser in common/parse.h.
   trace-phase-span
                   Every TaskPhase enumerator in src/mr/faults.h is
                   referenced as `TaskPhase::kFoo` by the trace layer
@@ -64,7 +66,8 @@ import sys
 
 CXX_SUFFIXES = (".h", ".cc", ".cpp")
 SOURCE_DIRS = ("src", "tests", "bench", "examples", "tools")
-BANNED_FUNCTIONS = ("rand", "atoi", "strcpy")
+BANNED_FUNCTIONS = ("rand", "strcpy", "atoi", "atol", "atoll", "atof",
+                    "strtol", "strtoll", "strtoul", "strtoull", "strtod")
 
 ALLOW_RE = re.compile(r"//\s*dwm-lint:\s*allow\(([a-z-]+)\)")
 # File-level suppression; the trailing \S makes the reason mandatory.
@@ -207,7 +210,7 @@ def check_banned_functions(findings, rel_path, raw_lines, code_lines):
             continue
         findings.add(rel_path, idx, "banned-function",
                      f"call to banned function '{hit.group(1)}' "
-                     "(use Rng / strtol / memcpy+length instead)")
+                     "(use Rng / memcpy+length / common/parse.h instead)")
 
 
 # fprintf takes stderr first, fputs takes it last; both keep the stream on
