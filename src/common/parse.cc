@@ -30,6 +30,18 @@ template std::optional<int64_t> Number(std::string_view);
 template std::optional<uint64_t> Number(std::string_view);
 template std::optional<double> Number(std::string_view);
 
+std::vector<std::string_view> Fields(std::string_view line) {
+  constexpr std::string_view kSpace = " \t\r\n\v\f";
+  std::vector<std::string_view> fields;
+  size_t start = line.find_first_not_of(kSpace);
+  while (start != std::string_view::npos) {
+    const size_t end = line.find_first_of(kSpace, start);
+    fields.push_back(line.substr(start, end - start));
+    start = line.find_first_not_of(kSpace, end);
+  }
+  return fields;
+}
+
 template <typename T>
 std::optional<T> Env(const char* knob, T lo, T hi, const char* want,
                      const char* action, bool (*also)(T)) {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string_view>
+#include <vector>
 
 namespace dwm::parse {
 
@@ -21,6 +22,10 @@ namespace dwm::parse {
 // uint64_t and double.
 template <typename T>
 std::optional<T> Number(std::string_view text);
+
+// The whitespace-separated fields of `line` (space, tab, CR, LF, VT, FF),
+// for text protocols that read one number per field with Number().
+std::vector<std::string_view> Fields(std::string_view line);
 
 // Env var `knob` as a T by the rule above, when it lies in [lo, hi] and
 // passes `also` (if given). Returns nothing when the variable is unset or

@@ -16,6 +16,7 @@ enum class StatusCode {
   kOutOfRange = 3,
   kFailedPrecondition = 4,
   kAborted = 5,
+  kInternal = 6,  // a library invariant failed; a bug, not bad input
 };
 
 // Value-semantic status: kOk or (code, message). The class-level
@@ -44,6 +45,9 @@ class [[nodiscard]] Status {
   static Status Aborted(std::string msg) {
     return Status(StatusCode::kAborted, std::move(msg));
   }
+  static Status Internal(std::string msg) {
+    return Status(StatusCode::kInternal, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -69,6 +73,8 @@ class [[nodiscard]] Status {
         return "FailedPrecondition";
       case StatusCode::kAborted:
         return "Aborted";
+      case StatusCode::kInternal:
+        return "Internal";
     }
     return "Unknown";
   }

@@ -4,7 +4,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <optional>
+#include <string_view>
+
+#include "common/parse.h"
 
 namespace dwm {
 
@@ -109,12 +112,14 @@ Status ReadDoublesCsv(const std::string& path, std::vector<double>* data) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    std::istringstream ss(line);
-    double v = 0.0;
-    if (!(ss >> v)) {
+    // One value per line, by the parse::Number rule ("1.5,2" and "+1" fail).
+    const std::vector<std::string_view> fields = parse::Fields(line);
+    const std::optional<double> v =
+        fields.size() == 1 ? parse::Number<double>(fields[0]) : std::nullopt;
+    if (!v) {
       return Status::IOError("unparsable CSV line in " + path + ": " + line);
     }
-    data->push_back(v);
+    data->push_back(*v);
   }
   return Status::OK();
 }

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/audit.h"
 #include "common/bits.h"
 #include "common/check.h"
+#include "common/log.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "dist/dcon.h"
 #include "dist/dist_common.h"
 #include "dist/dmin_haar_space.h"
@@ -59,8 +62,9 @@ Status LowerBoundJob(const std::vector<double>& data, int64_t budget,
     emit(-(t + 1), local[0]);
     std::vector<double> mags(local.begin() + 1, local.end());
     for (double& m : mags) m = std::abs(m);
+    // min before +1: any budget >= 0 is valid, INT64_MAX included.
     const int64_t keep =
-        std::min<int64_t>(budget + 1, static_cast<int64_t>(mags.size()));
+        std::min<int64_t>(budget, static_cast<int64_t>(mags.size()) - 1) + 1;
     std::nth_element(mags.begin(), mags.begin() + (keep - 1), mags.end(),
                      std::greater<double>());
     for (int64_t i = 0; i < keep; ++i) emit(0, mags[static_cast<size_t>(i)]);
@@ -134,16 +138,30 @@ Status MaxAbsJob(const std::vector<double>& data, const Synopsis& synopsis,
 
 }  // namespace
 
+Status DIndirectHaarOptions::Validate(int64_t n) const {
+  if (n < 8 || !IsPowerOfTwo(static_cast<uint64_t>(n))) {
+    return Status::InvalidArgument(
+        "DIndirectHaar: n must be a power of two >= 8, got " +
+        std::to_string(n));
+  }
+  if (budget < 0) {
+    return Status::InvalidArgument(
+        "DIndirectHaar: budget must be >= 0, got " + std::to_string(budget));
+  }
+  // The probes' own checks, less eps (the search picks every probe's).
+  const DmhsOptions probe = {0.0, quantum, subtree_inputs};
+  return probe.Validate(n);
+}
+
 DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
                                   const DIndirectHaarOptions& options,
                                   const mr::ClusterConfig& cluster) {
   const int64_t n = static_cast<int64_t>(data.size());
-  DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  DWM_CHECK_GE(n, 8);
-  const int64_t base_leaves =
-      std::clamp<int64_t>(2 * options.subtree_inputs, 2, n / 2);
-
   DIndirectHaarResult out;
+  out.status = options.Validate(n);
+  if (!out.status.ok()) return out;
+  const int64_t base_leaves = 2 * std::min(options.subtree_inputs, n / 4);
+
   // Sub-runs (CON and the DMHS probes) manage their own chains; scoping
   // their checkpoint files under "<scope>/dih/..." keeps them from
   // colliding with a standalone run of the same algorithm in the same
@@ -219,6 +237,12 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
     return out;  // delta coarser than the search range (Section 6.2)
   }
 
+  // Probes run up sweeps only. The solver keeps the up-sweep state of the
+  // probe the search keeps, by the search's own acceptance rule, and the
+  // winner's synopsis is materialized once, after the search. An accepted
+  // probe's error is <= its eps < e_high <= the kept error, so each
+  // accepted probe replaces (and frees) its predecessor's state.
+  std::optional<DmhsUpSweep> winner;
   int probe_index = 0;
   Problem2Solver solver = [&](double eps) {
     // Once a probe job has died, later probes would die identically (fault
@@ -231,8 +255,10 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
     // invalidate its predecessor's frames.
     mr::ClusterConfig probe_cluster = cluster;
     probe_cluster.checkpoint_scope = scope + "/probe" + std::to_string(probe);
-    DmhsResult run = DMinHaarSpace(
+    const Stopwatch clock;
+    DmhsUpSweep run = DMinHaarSpaceUp(
         data, {eps, options.quantum, options.subtree_inputs}, probe_cluster);
+    const double seconds = clock.ElapsedSeconds();
     // A zero-length marker span names the binary-search iteration, then the
     // probe's jobs and driver spans splice in at this point in the pipeline
     // (probe jobs reuse the dmhs_* names, so the marker is what tells
@@ -249,12 +275,56 @@ DIndirectHaarResult DIndirectHaar(const std::vector<double>& data,
       out.status = run.status;
       return MhsResult{};
     }
-    return std::move(run.result);
+    const bool fits = run.feasible && run.count <= options.budget;
+    log::Info("dih_probe")
+        .I64("probe", probe)
+        .F64("eps", eps)
+        .I64("count", run.count)
+        .F64("max_abs_error", run.max_abs_error)
+        .Bool("fits_budget", fits)
+        .MeasuredF64("seconds", seconds);
+    const MhsResult answer{run.feasible, Synopsis(), run.count,
+                           run.max_abs_error};
+    if (fits && (!winner || run.max_abs_error < winner->max_abs_error)) {
+      winner = std::move(run);
+    }
+    return answer;
   };
   out.search =
       IndirectHaarSearch(solver, std::min(e_l, e_u), e_u, options.budget,
                          options.quantum, options.max_iterations);
   if (!out.status.ok()) return out;  // a probe died; the search is unusable
+  if (out.search.converged) {
+    if (!winner) {
+      out.status = Status::Internal(
+          "DIndirectHaar: the search converged but no probe was kept");
+      return out;
+    }
+    // The winner's down sweep, in a checkpoint scope of its own (its frames
+    // are keyed by the winner's eps).
+    mr::ClusterConfig materialize_cluster = cluster;
+    materialize_cluster.checkpoint_scope = scope + "/materialize";
+    DmhsResult built = DMinHaarSpaceDown(data, *winner, materialize_cluster);
+    out.report.Append(built.report);
+    if (!built.status.ok()) {
+      out.status = built.status;
+      return out;
+    }
+    // The search recorded the kept probe's count and error; the synopsis
+    // must have exactly those.
+    if (built.result.synopsis.size() != winner->count ||
+        built.result.max_abs_error != out.search.max_abs_error) {
+      out.status = Status::Internal(
+          "DIndirectHaar: the materialized synopsis has " +
+          std::to_string(built.result.synopsis.size()) +
+          " coefficients at error " +
+          std::to_string(built.result.max_abs_error) + ", the search kept " +
+          std::to_string(winner->count) + " at " +
+          std::to_string(out.search.max_abs_error));
+      return out;
+    }
+    out.search.synopsis = std::move(built.result.synopsis);
+  }
   AuditSearchResult(data, options.budget, out.search);
   PublishSynopsisQuality("dindirect_haar", out.search.synopsis,
                          out.search.max_abs_error);

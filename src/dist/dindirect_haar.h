@@ -1,8 +1,12 @@
 // DIndirectHaar (Algorithm 2): solves Problem 1 by binary search over the
-// error bound, invoking DMHaarSpace once per probe (each probe is a
-// multi-job distributed run). The search bounds are themselves computed
-// with two extra jobs: e_l = the (B+1)-largest coefficient magnitude and
-// e_u = the max_abs of the conventional B-term synopsis.
+// error bound. Each probe runs DMHaarSpace's up sweep only (a multi-job
+// distributed run that yields the count and error of Problem 2's optimum);
+// the winning probe's synopsis is materialized once, by one down sweep
+// after the search. The search bounds are themselves computed with two
+// extra jobs: e_l = the (B+1)-largest coefficient magnitude and e_u = the
+// max_abs of the conventional B-term synopsis. Every probe logs one
+// `dih_probe` info record (probe, eps, count, max_abs_error, fits_budget;
+// its seconds in "m").
 #ifndef DWMAXERR_DIST_DINDIRECT_HAAR_H_
 #define DWMAXERR_DIST_DINDIRECT_HAAR_H_
 
@@ -20,6 +24,10 @@ struct DIndirectHaarOptions {
   double quantum = 1.0;
   int64_t subtree_inputs = 256;  // DMHaarSpace worker sub-tree size
   int max_iterations = 40;
+
+  // InvalidArgument unless n is a power of two >= 8, budget >= 0 and the
+  // probes' options (quantum, subtree_inputs) pass DmhsOptions::Validate.
+  [[nodiscard]] Status Validate(int64_t n) const;
 };
 
 struct DIndirectHaarResult {

@@ -26,31 +26,38 @@ double RowBytes(const mhs::Row& row) {
   return 16.0 + 12.0 * static_cast<double>(row.cells.size());
 }
 
-}  // namespace
+// Binds a sweep's checkpoint frames to its data, eps, quantum and fan.
+uint64_t SweepFingerprint(const std::vector<double>& data,
+                          const DmhsUpSweep& up) {
+  return mr::CheckpointFingerprint(
+      data, {std::bit_cast<int64_t>(up.eps), std::bit_cast<int64_t>(up.quantum),
+             up.fan});
+}
 
-DmhsResult DMinHaarSpace(const std::vector<double>& data,
-                         const DmhsOptions& options,
-                         const mr::ClusterConfig& cluster) {
+DmhsUpSweep NewSweep(int64_t n, const DmhsOptions& options) {
+  DmhsUpSweep up;
+  up.eps = options.error_bound;
+  up.quantum = options.quantum;
+  up.fan = std::min(options.subtree_inputs, n / 2);
+  return up;
+}
+
+// The bottom-up jobs on `chain` (which records into `report`), then the
+// driver's choice of c_0. Fills `up`'s answer and its down-sweep state;
+// an infeasible eps leaves up->feasible false with an OK status.
+Status RunUpSweep(const std::vector<double>& data, mr::JobChain* chain,
+                  mr::SimReport* report, DmhsUpSweep* up) {
   const int64_t n = static_cast<int64_t>(data.size());
-  DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(n)));
-  DWM_CHECK_GE(n, 4);
-  DWM_CHECK(IsPowerOfTwo(static_cast<uint64_t>(options.subtree_inputs)));
-  DWM_CHECK_GE(options.subtree_inputs, 2);
-  const double eps = options.error_bound;
-  const double q = options.quantum;
-  const int64_t fan = std::min(options.subtree_inputs, n / 2);
-
-  DmhsResult out;
-  mr::JobChain chain(
-      "dmhs", cluster, &out.report, nullptr,
-      mr::CheckpointFingerprint(
-          data, {std::bit_cast<int64_t>(eps), std::bit_cast<int64_t>(q), fan}));
+  const double eps = up->eps;
+  const double q = up->quantum;
+  const int64_t fan = up->fan;
+  const mr::ClusterConfig& cluster = chain->config();
 
   // ---------------- Bottom-up phase (Algorithm 1). ----------------
   // Stage s has tasks[s] workers; worker i of stage s produces the M-row of
   // global node tasks[s] + i. stage_inputs[s] are the rows consumed by
   // stage s's workers (s >= 1; stage 0 reads raw data).
-  std::vector<int64_t> tasks;         // tasks per stage
+  std::vector<int64_t>& tasks = up->tasks;  // tasks per stage
   tasks.push_back(std::max<int64_t>(1, n / (2 * fan)));
   while (tasks.back() > 1) {
     tasks.push_back(std::max<int64_t>(1, tasks.back() / fan));
@@ -58,8 +65,8 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
   const int num_stages = static_cast<int>(tasks.size());
 
   // stage_inputs[s][task] -> input rows (only for s >= 1).
-  std::vector<std::vector<std::vector<mhs::Row>>> stage_inputs(
-      static_cast<size_t>(num_stages));
+  auto& stage_inputs = up->stage_inputs;
+  stage_inputs.resize(static_cast<size_t>(num_stages));
   for (int s = 1; s < num_stages; ++s) {
     stage_inputs[static_cast<size_t>(s)].resize(
         static_cast<size_t>(tasks[static_cast<size_t>(s)]));
@@ -72,7 +79,7 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
     std::vector<int64_t> splits(static_cast<size_t>(num_tasks));
     for (int64_t i = 0; i < num_tasks; ++i) splits[static_cast<size_t>(i)] = i;
 
-    chain.RunStage(
+    chain->RunStage(
         "up_" + std::to_string(s),
         [&]() -> Status {
           // Emitted key: the consuming task of the next stage; value:
@@ -139,12 +146,12 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
       }
     };
           std::vector<int64_t> unused;
-          const Status status = chain.RunJob(spec, splits, &unused);
+          const Status status = chain->RunJob(spec, splits, &unused);
           // Per-level DP communication, the number the MPC-on-trees line
           // tracks: one counter child per up/down stage, accumulated across
           // probes. Only live job runs count; a restored stage replays its
           // shuffle bytes through the SimReport, not this registry counter.
-          const mr::JobStats& stats = out.report.jobs.back();
+          const mr::JobStats& stats = report->jobs.back();
           metrics::Default()
               .GetCounter("dwm_dmhs_level_shuffle_bytes_total",
                           "Shuffle bytes per DP level (up/down sweep stages)",
@@ -181,19 +188,13 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
           target = std::move(produced);
           return true;
         });
-    if (!chain.ok()) {
-      out.status = chain.status();
-      return out;
-    }
+    if (!chain->ok()) return chain->status();
   }
 
   // ---------------- Driver: choose c_0 from the row of c_1. ----------------
   Stopwatch driver_clock;
   const mhs::Row row1 = mhs::BuildRowHeap(std::move(final_rows)).CopyRow(1);
-  if (!row1.feasible()) {
-    out.report.AddDriverSpan("choose_c0", driver_clock.ElapsedSeconds());
-    return out;
-  }
+  // An infeasible row has no cells: Find misses and the loop is empty.
   mhs::Cell best;
   int64_t best_z0 = 0;
   if (const mhs::Cell* cell = row1.Find(0)) {
@@ -208,23 +209,38 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
       best_z0 = g;
     }
   }
-  if (!best.feasible()) {
-    out.report.AddDriverSpan("choose_c0", driver_clock.ElapsedSeconds());
-    return out;
-  }
+  report->AddDriverSpan("choose_c0", driver_clock.ElapsedSeconds());
+  if (!best.feasible()) return Status::OK();
+  up->feasible = true;
+  up->count = best.count;
+  up->max_abs_error = best.err;
+  up->best_z0 = best_z0;
+  return Status::OK();
+}
+
+// The top-down jobs over a feasible up sweep: re-enters each sub-tree layer
+// by layer with the incoming value chosen above and collects the synopsis.
+Status RunDownSweep(const std::vector<double>& data, const DmhsUpSweep& up,
+                    mr::JobChain* chain, mr::SimReport* report,
+                    MhsResult* result) {
+  const int64_t n = static_cast<int64_t>(data.size());
+  const double eps = up.eps;
+  const double q = up.quantum;
+  const int64_t fan = up.fan;
+  const std::vector<int64_t>& tasks = up.tasks;
+  const auto& stage_inputs = up.stage_inputs;
+  const int num_stages = static_cast<int>(tasks.size());
 
   std::vector<Coefficient> coeffs;
-  if (best_z0 != 0) coeffs.push_back({0, static_cast<double>(best_z0) * q});
+  if (up.best_z0 != 0) {
+    coeffs.push_back({0, static_cast<double>(up.best_z0) * q});
+  }
 
   // Hand the chosen incoming value of c_1 to the topmost worker; the
-  // top-down jobs below re-enter each sub-tree layer by layer.
+  // top-down jobs below re-enter each sub-tree layer by layer. The count
+  // below c_1 excludes c_0.
   std::map<int64_t, int64_t> assignments;  // task of stage (num_stages-1) -> v
-  {
-    const mhs::Cell* root_cell = row1.Find(best_z0);
-    DWM_CHECK(root_cell != nullptr && root_cell->feasible());
-    if (root_cell->count > 0) assignments[0] = best_z0;
-  }
-  out.report.AddDriverSpan("choose_c0", driver_clock.ElapsedSeconds());
+  if (up.count - (up.best_z0 != 0 ? 1 : 0) > 0) assignments[0] = up.best_z0;
 
   // ---------------- Top-down phase: one job per stage. ----------------
   // Note stage (num_stages - 1) was already consumed by the driver when it
@@ -236,7 +252,7 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
     for (const auto& [task, v] : assignments) splits.push_back({task, v});
     std::map<int64_t, int64_t> next_assignments;
 
-    chain.RunStage(
+    chain->RunStage(
         "down_" + std::to_string(s),
         [&]() -> Status {
           // Keys: -1 carries a selected coefficient, otherwise the key is
@@ -323,8 +339,8 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
       }
     };
           std::vector<int64_t> unused;
-          const Status status = chain.RunJob(spec, splits, &unused);
-          const mr::JobStats& stats = out.report.jobs.back();
+          const Status status = chain->RunJob(spec, splits, &unused);
+          const mr::JobStats& stats = report->jobs.back();
           metrics::Default()
               .GetCounter("dwm_dmhs_level_shuffle_bytes_total",
                           "Shuffle bytes per DP level (up/down sweep stages)",
@@ -354,28 +370,103 @@ DmhsResult DMinHaarSpace(const std::vector<double>& data,
           next_assignments = std::move(new_assignments);
           return true;
         });
-    if (!chain.ok()) {
-      out.status = chain.status();
-      return out;
-    }
+    if (!chain->ok()) return chain->status();
     assignments = std::move(next_assignments);
   }
 
-  out.result.feasible = true;
-  out.result.count = best.count;
-  out.result.max_abs_error = best.err;
-  out.result.synopsis = Synopsis(n, std::move(coeffs));
-  DWM_CHECK_EQ(out.result.synopsis.size(), out.result.count);
+
+  Synopsis synopsis(n, std::move(coeffs));
+  if (synopsis.size() != up.count) {
+    return Status::Internal(
+        "DMinHaarSpace: the down sweep selected " +
+        std::to_string(synopsis.size()) + " coefficients, the up sweep " +
+        std::to_string(up.count));
+  }
+  result->feasible = true;
+  result->count = up.count;
+  result->max_abs_error = up.max_abs_error;
+  result->synopsis = std::move(synopsis);
   if constexpr (audit::kEnabled) {
     // Synopsis post-conditions: the materialized synopsis must achieve the
     // DP-tracked error exactly (it is the same objective the DP optimized),
     // and that error must satisfy the requested bound.
-    const double exact = MaxAbsError(data, out.result.synopsis);
-    DWM_AUDIT_CHECK(std::abs(exact - out.result.max_abs_error) <= 1e-9);
-    DWM_AUDIT_CHECK(exact <= options.error_bound + 1e-9);
+    const double exact = MaxAbsError(data, result->synopsis);
+    DWM_AUDIT_CHECK(std::abs(exact - result->max_abs_error) <= 1e-9);
+    DWM_AUDIT_CHECK(exact <= eps + 1e-9);
   }
-  PublishSynopsisQuality("dmin_haar_space", out.result.synopsis,
-                         out.result.max_abs_error, options.error_bound);
+  PublishSynopsisQuality("dmin_haar_space", result->synopsis,
+                         result->max_abs_error, eps);
+  return Status::OK();
+}
+
+}  // namespace
+
+Status DmhsOptions::Validate(int64_t n) const {
+  if (n < 4 || !IsPowerOfTwo(static_cast<uint64_t>(n))) {
+    return Status::InvalidArgument(
+        "DMinHaarSpace: n must be a power of two >= 4, got " +
+        std::to_string(n));
+  }
+  if (subtree_inputs < 2 ||
+      !IsPowerOfTwo(static_cast<uint64_t>(subtree_inputs))) {
+    return Status::InvalidArgument(
+        "DMinHaarSpace: subtree_inputs must be a power of two >= 2, got " +
+        std::to_string(subtree_inputs));
+  }
+  if (!(quantum > 0.0) || !std::isfinite(quantum)) {
+    return Status::InvalidArgument(
+        "DMinHaarSpace: quantum must be positive and finite, got " +
+        std::to_string(quantum));
+  }
+  if (!(error_bound >= 0.0) || !std::isfinite(error_bound)) {
+    return Status::InvalidArgument(
+        "DMinHaarSpace: error_bound must be finite and >= 0, got " +
+        std::to_string(error_bound));
+  }
+  return Status::OK();
+}
+
+DmhsResult DMinHaarSpace(const std::vector<double>& data,
+                         const DmhsOptions& options,
+                         const mr::ClusterConfig& cluster) {
+  const int64_t n = static_cast<int64_t>(data.size());
+  DmhsResult out;
+  out.status = options.Validate(n);
+  if (!out.status.ok()) return out;
+  DmhsUpSweep up = NewSweep(n, options);
+  mr::JobChain chain("dmhs", cluster, &out.report, nullptr,
+                     SweepFingerprint(data, up));
+  out.status = RunUpSweep(data, &chain, &out.report, &up);
+  if (!out.status.ok() || !up.feasible) return out;
+  out.status = RunDownSweep(data, up, &chain, &out.report, &out.result);
+  return out;
+}
+
+DmhsUpSweep DMinHaarSpaceUp(const std::vector<double>& data,
+                            const DmhsOptions& options,
+                            const mr::ClusterConfig& cluster) {
+  const int64_t n = static_cast<int64_t>(data.size());
+  DmhsUpSweep up = NewSweep(n, options);
+  up.status = options.Validate(n);
+  if (!up.status.ok()) return up;
+  mr::JobChain chain("dmhs", cluster, &up.report, nullptr,
+                     SweepFingerprint(data, up));
+  up.status = RunUpSweep(data, &chain, &up.report, &up);
+  return up;
+}
+
+DmhsResult DMinHaarSpaceDown(const std::vector<double>& data,
+                             const DmhsUpSweep& up,
+                             const mr::ClusterConfig& cluster) {
+  DmhsResult out;
+  if (!up.status.ok() || !up.feasible) {
+    out.status = Status::InvalidArgument(
+        "DMinHaarSpaceDown: the up sweep found no feasible synopsis");
+    return out;
+  }
+  mr::JobChain chain("dmhs", cluster, &out.report, nullptr,
+                     SweepFingerprint(data, up));
+  out.status = RunDownSweep(data, up, &chain, &out.report, &out.result);
   return out;
 }
 

@@ -117,6 +117,7 @@ TEST(StatusTest, OkAndErrors) {
   EXPECT_EQ(Status::OutOfRange("x").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Status::Internal("x").ToString(), "Internal: x");
 }
 
 // The one parse rule (common/parse.h): the whole string, base 10, no

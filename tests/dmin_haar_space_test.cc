@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/min_haar_space.h"
 #include "test_util.h"
 #include "wavelet/metrics.h"
@@ -79,6 +82,86 @@ TEST(DmhsTest, HugeEpsilonNeedsNoCoefficients) {
   ASSERT_TRUE(r.result.feasible);
   EXPECT_EQ(r.result.count, 0);
   EXPECT_EQ(r.result.synopsis.size(), 0);
+}
+
+TEST(DmhsSweepTest, UpThenDownEqualsOneRun) {
+  const auto data = testing::RandomData(1 << 10, 9, 40.0);
+  const DmhsOptions options = {12.0, 0.5, 8};
+  const DmhsResult whole = DMinHaarSpace(data, options, FastCluster());
+  ASSERT_TRUE(whole.status.ok());
+  ASSERT_TRUE(whole.result.feasible);
+
+  const DmhsUpSweep up = DMinHaarSpaceUp(data, options, FastCluster());
+  ASSERT_TRUE(up.status.ok());
+  ASSERT_TRUE(up.feasible);
+  // The up sweep alone knows the optimum's count and error.
+  EXPECT_EQ(up.count, whole.result.count);
+  EXPECT_EQ(up.max_abs_error, whole.result.max_abs_error);
+  for (const mr::JobStats& job : up.report.jobs) {
+    EXPECT_EQ(job.name.rfind("dmhs_up_", 0), 0u) << job.name;
+  }
+
+  const DmhsResult down = DMinHaarSpaceDown(data, up, FastCluster());
+  ASSERT_TRUE(down.status.ok()) << down.status.ToString();
+  EXPECT_EQ(down.result.synopsis.coefficients(),
+            whole.result.synopsis.coefficients());
+  EXPECT_EQ(up.report.total_jobs() + down.report.total_jobs(),
+            whole.report.total_jobs());
+}
+
+TEST(DmhsSweepTest, DownRefusesAnInfeasibleSweep) {
+  const auto data = testing::RandomData(64, 5, 10.0);
+  const DmhsUpSweep up = DMinHaarSpaceUp(data, {0.01, 1000.0, 4}, FastCluster());
+  ASSERT_TRUE(up.status.ok());
+  ASSERT_FALSE(up.feasible);
+  const DmhsResult down = DMinHaarSpaceDown(data, up, FastCluster());
+  EXPECT_EQ(down.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(down.report.total_jobs(), 0);
+}
+
+// Option errors are a Status at the entry point, never a CHECK-abort.
+void ExpectInvalid(const std::vector<double>& data, const DmhsOptions& options) {
+  const DmhsResult r = DMinHaarSpace(data, options, FastCluster());
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+      << r.status.ToString();
+  EXPECT_FALSE(r.result.feasible);
+  EXPECT_EQ(r.report.total_jobs(), 0);
+  const DmhsUpSweep up = DMinHaarSpaceUp(data, options, FastCluster());
+  EXPECT_EQ(up.status.code(), StatusCode::kInvalidArgument)
+      << up.status.ToString();
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(DmhsValidateTest, NNotAPowerOfTwo) {
+  ExpectInvalid(testing::RandomData(12, 1, 10.0), {5.0, 1.0, 2});
+}
+
+TEST(DmhsValidateTest, NBelowFour) {
+  ExpectInvalid(testing::RandomData(2, 1, 10.0), {5.0, 1.0, 2});
+  ExpectInvalid({}, {5.0, 1.0, 2});
+}
+
+TEST(DmhsValidateTest, SubtreeInputsNotAPowerOfTwo) {
+  const auto data = testing::RandomData(64, 1, 10.0);
+  for (const int64_t s : {int64_t{-4}, int64_t{0}, int64_t{1}, int64_t{6}}) {
+    ExpectInvalid(data, {5.0, 1.0, s});
+  }
+}
+
+TEST(DmhsValidateTest, QuantumNotPositiveAndFinite) {
+  const auto data = testing::RandomData(64, 1, 10.0);
+  for (const double q : {0.0, -1.0, kNan, kInf}) ExpectInvalid(data, {5.0, q, 4});
+}
+
+TEST(DmhsValidateTest, EpsNegativeOrNan) {
+  const auto data = testing::RandomData(64, 1, 10.0);
+  for (const double eps : {-1.0, kNan, kInf}) ExpectInvalid(data, {eps, 1.0, 4});
+}
+
+TEST(DmhsValidateTest, BoundaryValuesAreValid) {
+  EXPECT_TRUE((DmhsOptions{0.0, 1e-9, 2}.Validate(4)).ok());
 }
 
 }  // namespace

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "data/generators.h"
 
@@ -118,6 +124,54 @@ TEST(IoTest, UnparsableCsvFails) {
   std::vector<double> out_vec;
   EXPECT_FALSE(ReadDoublesCsv(path, &out_vec).ok());
   std::remove(path.c_str());
+}
+
+// Reads `text` as a CSV file; nothing on an error Status.
+std::optional<std::vector<double>> ReadCsvText(const std::string& text) {
+  const std::string path = TempPath("dwm_io_lines.csv");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << text;
+  }
+  std::vector<double> values;
+  const Status status = ReadDoublesCsv(path, &values);
+  std::remove(path.c_str());
+  if (!status.ok()) return std::nullopt;
+  return values;
+}
+
+// Each line is one number by the common/parse.h rule: istringstream used
+// to read the leading number and ignore the rest.
+TEST(IoTest, CsvLineWithMoreThanOneNumberFails) {
+  for (const char* line :
+       {"1.5,2\n", "1.5 2\n", "1.5;\n", "+1\n", "0x10\n", "inf\n", "nan\n",
+        "1e400\n", " \n", "1.5e\n", "--1\n"}) {
+    EXPECT_FALSE(ReadCsvText(std::string("0\n") + line).has_value())
+        << line;
+  }
+}
+
+TEST(IoTest, CsvLinesWithSurroundingWhitespaceLoad) {
+  const auto values = ReadCsvText(" 1.5\n-2\t\n3\r\n\n-0\n1e-310\n");
+  ASSERT_TRUE(values.has_value());
+  EXPECT_EQ(*values, (std::vector<double>{1.5, -2.0, 3.0, -0.0, 1e-310}));
+}
+
+TEST(IoTest, CsvRoundtripIsExactAtTheExtremes) {
+  const std::vector<double> data = {
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::denorm_min(),
+      -0.0, 0.1, 1.0 / 3.0, -123456789.123456789};
+  const std::string path = TempPath("dwm_io_extremes.csv");
+  ASSERT_TRUE(WriteDoublesCsv(path, data).ok());
+  std::vector<double> back;
+  ASSERT_TRUE(ReadDoublesCsv(path, &back).ok());
+  std::remove(path.c_str());
+  ASSERT_EQ(back.size(), data.size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(back[i]), std::bit_cast<uint64_t>(data[i]))
+        << i;
+  }
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "data/generators.h"
 #include "dist/dcon.h"
 #include "dist/dgreedy.h"
+#include "dist/dindirect_haar.h"
 #include "dist/dmin_haar_space.h"
 #include "dist/hwtopk.h"
 #include "dist/send_coef.h"
@@ -904,6 +905,85 @@ TEST(KillResumeTest, DmhsKilledAtEachStageResumesByteIdentical) {
       ExpectSameSynopsis(resumed.result.synopsis, golden.result.synopsis);
       EXPECT_EQ(resumed.result.count, golden.result.count);
       EXPECT_EQ(resumed.result.max_abs_error, golden.result.max_abs_error);
+      EXPECT_EQ(resumed.report.total_jobs(), golden.report.total_jobs());
+    }
+  }
+}
+
+// DIH runs one chain per sub-run: CON under the upper-bound stage, the
+// "dih" chain of bound stages, one up-sweep chain per probe and the winner's
+// materialize chain. Lists their frame files in the order the run writes
+// them, which is also the order of its jobs (one job per frame).
+std::vector<std::string> DihFramesInRunOrder(const std::string& dir,
+                                             int probes) {
+  std::vector<std::string> chains = {"dih_con", "dih"};
+  for (int p = 1; p <= probes; ++p) {
+    chains.push_back("dih_probe" + std::to_string(p) + "_dmhs");
+  }
+  chains.push_back("dih_materialize_dmhs");
+  std::vector<std::string> frames;
+  for (const std::string& chain : chains) {
+    const int count = CountFrames(dir, chain);
+    for (int i = 0; i < count; ++i) {
+      frames.push_back(chain + "-" + std::to_string(i) + ".ckpt");
+    }
+  }
+  return frames;
+}
+
+TEST(KillResumeTest, DihKilledAtEachStageResumesByteIdentical) {
+  const std::vector<double> data = MakeUniform(1 << 9, 1000.0, 7);
+  DIndirectHaarOptions options;
+  options.budget = 32;
+  options.quantum = 25.0;
+  options.subtree_inputs = 4;
+  FaultSpec lethal;
+  lethal.map_failure_rate = 1.0;
+
+  const std::string golden_dir = TestDir("dih_golden");
+  ClusterConfig golden_config = FaultFreeConfig();
+  golden_config.checkpoint_dir = golden_dir;
+  const DIndirectHaarResult golden = DIndirectHaar(data, options, golden_config);
+  ASSERT_TRUE(golden.status.ok()) << golden.status.ToString();
+  ASSERT_TRUE(golden.search.converged);
+  ASSERT_GE(golden.search.solver_runs, 2);
+  const std::vector<std::string> frames =
+      DihFramesInRunOrder(golden_dir, golden.search.solver_runs);
+  // Every probe ran only its up sweep (>= 2 stages here); one materialize
+  // chain ran the winner's down sweep.
+  ASSERT_GE(CountFrames(golden_dir, "dih_probe1_dmhs"), 2);
+  ASSERT_GE(CountFrames(golden_dir, "dih_materialize_dmhs"), 1);
+  ASSERT_EQ(golden.report.total_jobs(), static_cast<int64_t>(frames.size()));
+
+  for (const int threads : {1, 8}) {
+    for (size_t k = 0; k < frames.size(); ++k) {
+      const std::string dir = TestDir("dih_k" + std::to_string(k) + "_t" +
+                                      std::to_string(threads));
+      for (size_t i = 0; i < k; ++i) {
+        fs::copy_file(fs::path(golden_dir) / frames[i],
+                      fs::path(dir) / frames[i]);
+      }
+      ClusterConfig faulty = FaultFreeConfig();
+      faulty.checkpoint_dir = dir;
+      faulty.worker_threads = threads;
+      faulty.max_task_attempts = 1;
+      faulty.faults = FaultPlan(11, lethal);
+      const DIndirectHaarResult killed = DIndirectHaar(data, options, faulty);
+      ASSERT_FALSE(killed.status.ok()) << "frame " << frames[k];
+      EXPECT_NE(killed.status.ToString().find("'" + golden.report.jobs[k].name +
+                                              "'"),
+                std::string::npos)
+          << frames[k] << ": " << killed.status.ToString();
+
+      ClusterConfig resume = FaultFreeConfig();
+      resume.checkpoint_dir = dir;
+      resume.worker_threads = threads;
+      const DIndirectHaarResult resumed = DIndirectHaar(data, options, resume);
+      ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+      ASSERT_TRUE(resumed.search.converged);
+      ExpectSameSynopsis(resumed.search.synopsis, golden.search.synopsis);
+      EXPECT_EQ(resumed.search.max_abs_error, golden.search.max_abs_error);
+      EXPECT_EQ(resumed.search.solver_runs, golden.search.solver_runs);
       EXPECT_EQ(resumed.report.total_jobs(), golden.report.total_jobs());
     }
   }

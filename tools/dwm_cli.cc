@@ -55,9 +55,11 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -259,24 +261,34 @@ dwm::Synopsis LoadSynopsis(const std::string& path) {
 
 int CmdGen(const Flags& flags) {
   const std::string dataset = Require(flags, "dataset");
-  const int64_t n = IntFlag(flags, "n", std::nullopt, 1);
+  // Past max_size() the vector cannot even be asked for; below it, an
+  // allocation the machine cannot back fails with bad_alloc, caught below.
+  const int64_t n = IntFlag(
+      flags, "n", std::nullopt, 1,
+      static_cast<int64_t>(std::vector<double>().max_size()));
   const uint64_t seed = NumberFlag<uint64_t>(
       flags, "seed", 1, 0, std::numeric_limits<uint64_t>::max());
   const double max_value = DoubleFlag(flags, "max", 1000, 1);
   std::vector<double> data;
-  if (dataset == "uniform") {
-    data = dwm::MakeUniform(n, max_value, seed);
-  } else if (dataset == "zipf07") {
-    data = dwm::MakeZipf(n, 0.7, static_cast<int64_t>(max_value), seed);
-  } else if (dataset == "zipf15") {
-    data = dwm::MakeZipf(n, 1.5, static_cast<int64_t>(max_value), seed);
-  } else if (dataset == "nyct") {
-    data = dwm::MakeNyctLike(n, seed);
-  } else if (dataset == "wd") {
-    data = dwm::MakeWdLike(n, seed);
-  } else {
-    std::fprintf(stderr, "unknown dataset: %s\n", dataset.c_str());
-    return 2;
+  try {
+    if (dataset == "uniform") {
+      data = dwm::MakeUniform(n, max_value, seed);
+    } else if (dataset == "zipf07") {
+      data = dwm::MakeZipf(n, 0.7, static_cast<int64_t>(max_value), seed);
+    } else if (dataset == "zipf15") {
+      data = dwm::MakeZipf(n, 1.5, static_cast<int64_t>(max_value), seed);
+    } else if (dataset == "nyct") {
+      data = dwm::MakeNyctLike(n, seed);
+    } else if (dataset == "wd") {
+      data = dwm::MakeWdLike(n, seed);
+    } else {
+      std::fprintf(stderr, "unknown dataset: %s\n", dataset.c_str());
+      return 2;
+    }
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "gen: cannot allocate %lld values\n",
+                 static_cast<long long>(n));
+    return 1;
   }
   const dwm::Status status =
       dwm::WriteDoublesBinary(Require(flags, "output"), data);
@@ -622,22 +634,25 @@ std::string BaseName(const std::string& path) {
 // Parses one protocol line ("point I", "sum A B", "avg A B"); false on
 // anything else, including trailing junk.
 bool ParseQueryLine(const std::string& line, dwm::serve::Query* query) {
-  std::istringstream ss(line);
-  std::string op;
-  if (!(ss >> op)) return false;
-  if (op == "point") {
+  const std::vector<std::string_view> fields = dwm::parse::Fields(line);
+  if (fields.empty()) return false;
+  const std::string_view op = fields[0];
+  std::optional<int64_t> lo;
+  std::optional<int64_t> hi;
+  if (op == "point" && fields.size() == 2) {
     query->type = dwm::serve::QueryType::kPoint;
-    if (!(ss >> query->lo)) return false;
-    query->hi = query->lo;
-  } else if (op == "sum" || op == "avg") {
+    lo = dwm::parse::Number<int64_t>(fields[1]);
+    hi = lo;
+  } else if ((op == "sum" || op == "avg") && fields.size() == 3) {
     query->type = op == "sum" ? dwm::serve::QueryType::kRangeSum
                               : dwm::serve::QueryType::kRangeAvg;
-    if (!(ss >> query->lo >> query->hi)) return false;
-  } else {
-    return false;
+    lo = dwm::parse::Number<int64_t>(fields[1]);
+    hi = dwm::parse::Number<int64_t>(fields[2]);
   }
-  std::string rest;
-  return !(ss >> rest);
+  if (!lo || !hi) return false;
+  query->lo = *lo;
+  query->hi = *hi;
+  return true;
 }
 
 // Splits a comma-separated --synopsis list; empty segments are rejected by
@@ -790,9 +805,10 @@ int CmdServe(const Flags& flags) {
   std::string line;
   while (std::getline(std::cin, line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::string op;
-    ss >> op;
+    // Fields view `line`; the batch branch reuses `line`, so it reads its
+    // count before it reads the batch.
+    const std::vector<std::string_view> fields = dwm::parse::Fields(line);
+    const std::string_view op = fields.empty() ? "" : fields[0];
     if (op == "quit") break;
     if (op == "shards") {
       print_shards();
@@ -824,9 +840,8 @@ int CmdServe(const Flags& flags) {
       continue;
     }
     if (op == "loglevel") {
-      std::string name;
       dwm::log::Level level = dwm::log::Level::kInfo;
-      if (!(ss >> name) || !dwm::log::ParseLevel(name, &level)) {
+      if (fields.size() < 2 || !dwm::log::ParseLevel(fields[1], &level)) {
         std::printf("error: bad level (want debug|info|warn|error): %s\n",
                     line.c_str());
         continue;
@@ -836,18 +851,16 @@ int CmdServe(const Flags& flags) {
       continue;
     }
     if (op == "trace") {
-      std::string mode;
-      ss >> mode;
+      const std::string_view mode = fields.size() > 1 ? fields[1] : "";
       if (mode == "on") {
-        std::string path;
-        if (!(ss >> path)) {
+        if (fields.size() < 3) {
           std::printf("error: trace on needs a file: %s\n", line.c_str());
           continue;
         }
         flush_trace();  // an already-running trace is finalized first
         engine.tracer().Clear();
         engine.tracer().Enable();
-        trace_path = std::move(path);
+        trace_path = std::string(fields[2]);
         std::printf("trace on %s\n", trace_path.c_str());
       } else if (mode == "off") {
         if (trace_path.empty()) {
@@ -862,9 +875,16 @@ int CmdServe(const Flags& flags) {
       continue;
     }
     if (op == "use") {
+      const std::optional<int64_t> budget =
+          fields.size() == 4 ? dwm::parse::Number<int64_t>(fields[3])
+                             : std::nullopt;
       dwm::serve::ShardKey key;
-      if (!(ss >> key.dataset >> key.algo >> key.budget) ||
-          engine.registry().Find(key) == nullptr) {
+      if (budget) {
+        key.dataset = fields[1];
+        key.algo = fields[2];
+        key.budget = *budget;
+      }
+      if (!budget || engine.registry().Find(key) == nullptr) {
         std::printf("error: no such shard: %s\n", line.c_str());
         continue;
       }
@@ -873,13 +893,15 @@ int CmdServe(const Flags& flags) {
     }
     std::vector<dwm::serve::Query> batch;
     if (op == "batch") {
-      int64_t k = 0;
-      if (!(ss >> k) || k < 0) {
+      const std::optional<int64_t> k =
+          fields.size() == 2 ? dwm::parse::Number<int64_t>(fields[1])
+                             : std::nullopt;
+      if (!k || *k < 0) {
         std::printf("error: bad batch count: %s\n", line.c_str());
         continue;
       }
       bool bad = false;
-      for (int64_t i = 0; i < k && std::getline(std::cin, line); ++i) {
+      for (int64_t i = 0; i < *k && std::getline(std::cin, line); ++i) {
         dwm::serve::Query query;
         if (!ParseQueryLine(line, &query)) {
           std::printf("error: bad query line: %s\n", line.c_str());
